@@ -271,24 +271,6 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return out
 
 
-def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
-    """log(sum(exp(x))) along ``axis``, max-shifted for stability.
-
-    The shift is a constant, so gradients reduce to the softmax of x.
-    """
-    if axis is not None and axis < 0:
-        axis += x.ndim
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = exp(add_const(x, -m))
-    summed = tsum(shifted, axis=axis, keepdims=True)
-    out = add_const(log(summed), m)
-    if axis is not None:
-        out = reshape(out, tuple(n for i, n in enumerate(out.shape) if i != axis))
-    else:
-        out = reshape(out, ())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Backward pass and the finite-difference oracle
 # ---------------------------------------------------------------------------

@@ -161,14 +161,24 @@ def _print_report(report: MetricReport) -> None:
     print(f"support {report.support}")
 
 
+def _load_model(path, constrained_decode: bool):
+    """Load a checkpoint; BIO-constrained decoding exists only for the CRF."""
+    model = load_checkpoint(path)
+    if constrained_decode:
+        if model.architecture != "lstm_crf":
+            raise _UsageError(
+                f"--constrained-decode needs an lstm_crf checkpoint, got {model.architecture}"
+            )
+        model.config = dataclasses.replace(model.config, constrained_decode=True)
+    return model
+
+
 def _run_eval(args, transfer: bool) -> int:
     checkpoint_path = Path(args.checkpoint)
     if not checkpoint_path.exists():
         raise CorpusError(f"checkpoint not found: {checkpoint_path}")
     before = hashlib.sha256(checkpoint_path.read_bytes()).hexdigest()
-    model = load_checkpoint(checkpoint_path)
-    if args.constrained_decode:
-        model.config = dataclasses.replace(model.config, constrained_decode=True)
+    model = _load_model(checkpoint_path, args.constrained_decode)
     corpus = load_corpus(args.corpus, args.format)
     report = evaluate(model, corpus)
     if transfer:
@@ -194,9 +204,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    if args.constrained_decode:
-        model.config = dataclasses.replace(model.config, constrained_decode=True)
+    model = _load_model(args.checkpoint, args.constrained_decode)
     in_path = Path(args.input)
     if not in_path.exists():
         raise CorpusError(f"input file not found: {in_path}")

@@ -4,9 +4,13 @@ A path through tags (y1..yn) scores
 
     start[y1] + sum_t emissions[t, yt] + sum_t transitions[y_t, y_{t+1}] + end[yn]
 
-The partition function sums exp(score) over all T^n paths; it is computed
-exactly by the forward recursion in log space, differentiably, so training
-the negative log-likelihood needs no hand-derived marginals.
+The partition function sums exp(score) over all T^n paths. ``nll`` and
+``log_partition`` are one autodiff node each: the forward pass computes log Z
+exactly with the alpha recursion in log space, and the backward pass runs the
+beta recursion to get the forward-backward marginals. The gradient of the
+negative log-likelihood is the expected feature counts under those marginals
+minus the gold path's counts (Lafferty, McCallum & Pereira, ICML 2001;
+Sutton & McCallum, arXiv:1011.4088, section 4.1).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bio
-from .autodiff import Tensor, add, getitem, logsumexp, reshape
+from .autodiff import Array, Tensor, _accum
 
 NEG_INF = -1e4  # soft minus-infinity for constrained decoding
 
@@ -57,34 +61,74 @@ def _check_emissions(emissions: Tensor, crf: CrfModel) -> tuple[int, int]:
     return n, t
 
 
+def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the max for stability."""
+    m = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
+    return out.reshape(()) if axis is None else out.squeeze(axis)
+
+
+def _crf_op(emissions: Tensor, crf: CrfModel, gold: np.ndarray | None) -> Tensor:
+    """log Z, or log Z minus the gold path score, as one autodiff node.
+
+    The forward pass runs the alpha recursion; the backward pass runs the
+    beta recursion and turns both into marginals. The gradient of log Z is
+    the unary marginals for emissions, the summed pairwise marginals for
+    transitions, and the first and last marginal rows for start and end; a
+    gold path subtracts its one-hot indicators and bigram counts.
+    """
+    e = emissions.data
+    trans, start, end = crf.transitions.data, crf.start.data, crf.end.data
+    n = e.shape[0]
+    rows = np.arange(n)
+    alphas = np.empty_like(e)
+    alphas[0] = e[0] + start
+    for i in range(1, n):
+        alphas[i] = _logsumexp(alphas[i - 1][:, None] + trans, axis=0) + e[i]
+    log_z = _logsumexp(alphas[-1] + end)
+    value = log_z
+    if gold is not None:
+        value = log_z - (
+            start[gold[0]] + e[rows, gold].sum() + trans[gold[:-1], gold[1:]].sum() + end[gold[-1]]
+        )
+    out = Tensor(value, (emissions, crf.transitions, crf.start, crf.end))
+
+    def bw(g: Array) -> None:
+        betas = np.empty_like(e)
+        betas[-1] = end
+        for i in range(n - 2, -1, -1):
+            betas[i] = _logsumexp(trans + (e[i + 1] + betas[i + 1]), axis=1)
+        unary = np.exp(alphas + betas - log_z)
+        pairwise = np.exp(
+            alphas[:-1, :, None] + trans + (e[1:] + betas[1:])[:, None, :] - log_z
+        ).sum(axis=0)
+        if gold is not None:
+            unary[rows, gold] -= 1.0
+            np.add.at(pairwise, (gold[:-1], gold[1:]), -1.0)
+        _accum(emissions, g * unary)
+        _accum(crf.transitions, g * pairwise)
+        _accum(crf.start, g * unary[0])
+        _accum(crf.end, g * unary[-1])
+
+    out._backward = bw
+    return out
+
+
 def log_partition(emissions: Tensor, crf: CrfModel) -> Tensor:
     """log sum over all tag paths of exp(path score), differentiable."""
-    n, t = _check_emissions(emissions, crf)
-    alpha = add(getitem(emissions, 0), crf.start)
-    for i in range(1, n):
-        scores = add(reshape(alpha, (t, 1)), crf.transitions)
-        alpha = add(logsumexp(scores, axis=0), getitem(emissions, i))
-    return logsumexp(add(alpha, crf.end))
-
-
-def gold_score(emissions: Tensor, crf: CrfModel, tags: Sequence[int]) -> Tensor:
-    """Differentiable score of one tag path."""
-    n, t = _check_emissions(emissions, crf)
-    tags = list(tags)
-    if len(tags) != n:
-        raise ValueError(f"gold path length {len(tags)} != sequence length {n}")
-    if any(not 0 <= y < t for y in tags):
-        raise ValueError(f"gold tag out of range [0, {t})")
-    score = add(getitem(crf.start, tags[0]), getitem(emissions, (0, tags[0])))
-    for i in range(1, n):
-        score = add(score, getitem(crf.transitions, (tags[i - 1], tags[i])))
-        score = add(score, getitem(emissions, (i, tags[i])))
-    return add(score, getitem(crf.end, tags[-1]))
+    _check_emissions(emissions, crf)
+    return _crf_op(emissions, crf, None)
 
 
 def nll(emissions: Tensor, crf: CrfModel, tags: Sequence[int]) -> Tensor:
     """Negative log-likelihood of a gold path; non-negative by construction."""
-    return log_partition(emissions, crf) - gold_score(emissions, crf, tags)
+    n, t = _check_emissions(emissions, crf)
+    gold = np.asarray(tags, dtype=np.intp)
+    if gold.shape != (n,):
+        raise ValueError(f"gold path length {gold.size} != sequence length {n}")
+    if gold.min() < 0 or gold.max() >= t:
+        raise ValueError(f"gold tag out of range [0, {t})")
+    return _crf_op(emissions, crf, gold)
 
 
 def bio_transition_mask(num_tags: int) -> np.ndarray:

@@ -521,6 +521,9 @@ def load_checkpoint(path: str | Path) -> _ModelBase:
         else None
     )
     model = build_model(payload["architecture"], config, payload["seed"], word_vocab, sub_vocab)
+    missing = [name for name in model.store.names() if name not in payload["params"]]
+    if missing:
+        raise ValueError(f"checkpoint lacks {payload['architecture']} parameters {missing}")
     for name, entry in payload["params"].items():
         if name not in model.store:
             raise ValueError(f"checkpoint parameter {name!r} unknown to {payload['architecture']}")

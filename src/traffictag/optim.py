@@ -64,14 +64,21 @@ class ParamStore:
             self.params[name].data[...] = data
 
 
-def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+def global_norm(store: ParamStore) -> float:
+    """L2 norm of all gradients together; missing gradients count as zero."""
     total = 0.0
     for t in store.params.values():
         if t.grad is not None:
             total += float((t.grad * t.grad).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0.0:
+    return math.sqrt(total)
+
+
+def clip_global_norm(store: ParamStore, max_norm: float) -> float:
+    """Scale all gradients so their global L2 norm is at most ``max_norm``
+    and return the norm before scaling. A non-finite norm leaves the
+    gradients as they are, so the caller can find the culprit."""
+    norm = global_norm(store)
+    if math.isfinite(norm) and norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for t in store.params.values():
             if t.grad is not None:

@@ -29,7 +29,7 @@ from .models import (
     _ModelBase,
     build_model,
 )
-from .optim import adam_step, clip_global_norm, sgd_step
+from .optim import ParamStore, adam_step, clip_global_norm, global_norm, sgd_step
 from .subword import SubwordVocab, build_vocab
 
 EPOCH_CANDIDATES = (10, 15, 20, 25, 30, 40)
@@ -49,7 +49,8 @@ CRITERION = {"classifier": "f1c", "tagger": "f1s", "joint": "sen_acc"}
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; training aborts with a diagnostic."""
+    """Loss or gradient norm became non-finite; training aborts with a
+    diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,13 @@ def build_vocabularies(
     return WordVocab.build(train_corpus), None
 
 
+def _first_non_finite_gradient(store: ParamStore) -> str | None:
+    for name, t in store.params.items():
+        if t.grad is not None and not np.isfinite((t.grad * t.grad).sum()):
+            return name
+    return None
+
+
 def _batches(order: np.ndarray, batch_size: int):
     for lo in range(0, len(order), batch_size):
         yield order[lo : lo + batch_size]
@@ -243,6 +251,7 @@ def train_model(
     for epoch in range(1, max(config.epoch_candidates) + 1):
         order = np.random.default_rng([config.seed, 11, epoch]).permutation(len(tweets))
         epoch_losses = []
+        grad_norm_max = 0.0
         for batch in _batches(order, config.batch_size):
             model.store.zero_grad()
             scale = 1.0 / len(batch)
@@ -256,9 +265,21 @@ def train_model(
                 epoch_losses.append(value)
                 backward(loss * scale)
             if clip_norm is not None:
-                clip_global_norm(model.store, clip_norm)
+                norm = clip_global_norm(model.store, clip_norm)
+            else:
+                norm = global_norm(model.store)
+            if not np.isfinite(norm):
+                raise TrainingDiverged(
+                    f"non-finite gradient norm at epoch {epoch}; first non-finite "
+                    f"parameter gradient: {_first_non_finite_gradient(model.store)}"
+                )
+            grad_norm_max = max(grad_norm_max, norm)
             step(model.store, lr)
-        entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
+        entry = {
+            "epoch": epoch,
+            "train_loss": float(np.mean(epoch_losses)),
+            "grad_norm_max": grad_norm_max,
+        }
         if epoch in config.epoch_candidates:
             report = evaluate(model, dev_corpus)
             entry["dev"] = report.to_dict()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -9,13 +10,12 @@ import numpy as np
 import pytest
 
 from traffictag import bio
-from traffictag.autodiff import Tensor, grad_check
+from traffictag.autodiff import Tensor, backward, grad_check
 from traffictag.crf import (
     CrfModel,
     bio_start_mask,
     bio_transition_mask,
     brute_force_oracle,
-    gold_score,
     log_partition,
     nll,
     viterbi,
@@ -38,6 +38,42 @@ def random_instance(rng: np.random.Generator, n: int, t: int):
         Tensor(rng.uniform(-2, 2, size=t)),
     )
     return emissions, model
+
+
+def enumerated_nll_gradients(emissions, model, gold):
+    """Gradients of the NLL by enumerating all T^n paths: expected feature
+    counts under the path distribution minus the gold path's counts."""
+    e = emissions.data
+    n, t = e.shape
+    paths = np.array(list(itertools.product(range(t), repeat=n)))  # [T^n, n]
+    rows = np.arange(n)
+    scores = (
+        model.start.data[paths[:, 0]]
+        + e[rows, paths].sum(axis=1)
+        + model.transitions.data[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+        + model.end.data[paths[:, -1]]
+    )
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+
+    def counts(ids, size, weights):
+        return np.bincount(ids.ravel(), weights.ravel(), minlength=size)
+
+    pair_ids = paths[:, :-1] * t + paths[:, 1:]
+    pair_weights = np.broadcast_to(probs[:, None], pair_ids.shape)
+    expected = [
+        np.stack([counts(paths[:, i], t, probs) for i in range(n)]),
+        counts(pair_ids, t * t, pair_weights).reshape(t, t),
+        counts(paths[:, 0], t, probs),
+        counts(paths[:, -1], t, probs),
+    ]
+    gold = np.asarray(gold)
+    observed = [np.zeros((n, t)), np.zeros((t, t)), np.zeros(t), np.zeros(t)]
+    observed[0][rows, gold] = 1.0
+    np.add.at(observed[1], (gold[:-1], gold[1:]), 1.0)
+    observed[2][gold[0]] = 1.0
+    observed[3][gold[-1]] = 1.0
+    return [a - b for a, b in zip(expected, observed)]
 
 
 class TestLogPartition:
@@ -106,7 +142,13 @@ class TestNll:
 
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError):
-            gold_score(Tensor(np.zeros((2, 2))), zero_model(2), [0, 5])
+            nll(Tensor(np.zeros((2, 2))), zero_model(2), [0, 5])
+
+    def test_single_token_has_zero_transition_gradient(self):
+        rng = np.random.default_rng(4)
+        emissions, model = random_instance(rng, 1, 5)
+        backward(nll(emissions, model, [3]))
+        assert np.array_equal(model.transitions.grad, np.zeros((5, 5)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -114,6 +156,7 @@ class TestNll:
         params = [emissions, model.transitions, model.start, model.end]
         err = grad_check(lambda: nll(emissions, model, [0, 2, 1, 3]), params)
         assert err < 1e-6
+        assert grad_check(lambda: log_partition(emissions, model), params) < 1e-6
 
 
 class TestViterbi:
@@ -159,6 +202,21 @@ class TestOracleAgreement:
             assert score == pytest.approx(oracle_score, abs=1e-12)
             assert log_z >= score - 1e-12
         assert time.perf_counter() - started < 10.0
+
+    def test_200_random_instances_gradients(self):
+        # gradients = forward-backward marginals - gold indicators, checked
+        # against expected counts over every enumerated path
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            t = int(rng.integers(2, 7))
+            emissions, model = random_instance(rng, n, t)
+            gold = rng.integers(0, t, n).tolist()
+            params = [emissions, model.transitions, model.start, model.end]
+            backward(nll(emissions, model, gold))
+            expected = enumerated_nll_gradients(emissions, model, gold)
+            for p, want in zip(params, expected):
+                assert np.max(np.abs(p.grad - want)) < 1e-10
 
     def test_single_token_reduces_to_max_and_logsumexp(self):
         rng = np.random.default_rng(8)

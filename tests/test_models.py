@@ -266,6 +266,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_missing_parameters_rejected(self, word_vocab, tmp_path):
+        import json
+
+        model = build_model("lstm_crf", SMALL, seed=1, word_vocab=word_vocab)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        del payload["params"]["crf.trans"]
+        del payload["params"]["tag.w"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"'tag.w', 'crf.trans'"):
+            load_checkpoint(path)
+
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
             build_model("transformer", SMALL, seed=1)

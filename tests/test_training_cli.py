@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from traffictag import models
-from traffictag.autodiff import Tensor
+from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
-from traffictag.corpus import GeneratorConfig, generate_synthetic, load_corpus, split_corpus
+from traffictag.corpus import (
+    GeneratorConfig,
+    generate_synthetic,
+    load_corpus,
+    save_corpus,
+    split_corpus,
+)
 from traffictag.metrics import MetricReport, validate_report_dict
 from traffictag.models import ModelConfig
 from traffictag.training import (
@@ -115,6 +122,33 @@ class TestTraining:
         with pytest.raises(TrainingDiverged):
             train_model(tiny_config("cnn"), train_c, dev_c)
 
+    @pytest.mark.parametrize("arch", ["cnn", "lstm_tagger"])  # unclipped, clipped
+    def test_non_finite_gradient_names_first_parameter(self, splits, monkeypatch, arch):
+        train_c, dev_c, _ = splits
+        poisoned = ("tag.w", "lstm_f.b") if arch == "lstm_tagger" else ("out.w", "conv4.w")
+
+        def poisoned_loss(self, tweet, train=False, rng=None):
+            params = tuple(self.store[name] for name in poisoned)
+
+            def bw(g):
+                for p in params:
+                    _accum(p, np.full(p.shape, np.inf))
+
+            return Tensor(1.0, params, bw)
+
+        cls = models.LstmTagger if arch == "lstm_tagger" else models.CnnClassifier
+        monkeypatch.setattr(cls, "loss", poisoned_loss)
+        with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{poisoned[1]}$"):
+            train_model(tiny_config(arch), train_c, dev_c)
+
+    def test_grad_norm_max_is_logged_before_clipping(self, splits):
+        train_c, dev_c, _ = splits
+        _, log = train_model(tiny_config("lstm_tagger", clip_norm=1e-3), train_c, dev_c)
+        _, again = train_model(tiny_config("lstm_tagger", clip_norm=1e-3), train_c, dev_c)
+        norms = [entry["grad_norm_max"] for entry in log.epochs]
+        assert len(norms) == 2 and all(n > 1e-3 for n in norms)
+        assert again.epochs == log.epochs
+
     def test_evaluate_fields_by_kind(self, splits):
         train_c, dev_c, _ = splits
         wv = models.WordVocab.build(train_c)
@@ -215,6 +249,44 @@ class TestCli:
         assert [l["id"] for l in lines] == ["a"]
         assert lines[0]["tokens"] == ["file", "op", "e40"]
         assert lines[0]["label"] in ("traffic", "non_traffic")
+
+    def _untrained_checkpoint(self, tmp_path, arch):
+        corpus = generate_synthetic(GeneratorConfig(size=20), seed=2)
+        model = models.build_model(arch, ModelConfig(**TINY_MODEL), 1,
+                                   word_vocab=models.WordVocab.build(corpus))
+        checkpoint = tmp_path / f"{arch}.json"
+        models.save_checkpoint(model, checkpoint)
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, corpus_path)
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps({"id": t.id, "text": t.raw_text}) + "\n" for t in corpus))
+        return str(checkpoint), str(corpus_path), str(raw)
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm_tagger"])
+    def test_constrained_decode_rejected_without_crf(self, tmp_path, capsys, arch):
+        checkpoint, corpus_path, raw = self._untrained_checkpoint(tmp_path, arch)
+        for argv in (
+            ["eval", "--checkpoint", checkpoint, "--corpus", corpus_path],
+            ["transfer", "--checkpoint", checkpoint, "--corpus", corpus_path],
+            ["predict", "--checkpoint", checkpoint, "--input", raw],
+        ):
+            assert main(argv + ["--constrained-decode"]) == 1
+            assert arch in capsys.readouterr().err
+
+    def test_constrained_decode_applied_to_crf(self, tmp_path):
+        checkpoint, corpus_path, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
+        constrained = models.load_checkpoint(checkpoint)
+        constrained.config = dataclasses.replace(constrained.config, constrained_decode=True)
+        expected = evaluate(constrained, load_corpus(corpus_path)).to_dict()
+        for verb in ("eval", "transfer"):
+            out = tmp_path / f"{verb}.json"
+            assert main([verb, "--checkpoint", checkpoint, "--corpus", corpus_path,
+                         "--out", str(out), "--constrained-decode"]) == 0
+            assert json.loads(out.read_text()) == expected
+        out = tmp_path / "pred.jsonl"
+        assert main(["predict", "--checkpoint", checkpoint, "--input", raw,
+                     "--out", str(out), "--constrained-decode"]) == 0
+        assert len(out.read_text().splitlines()) == 20
 
     def test_train_missing_corpus_errors_before_training(self, tmp_path):
         config_path = self._write_config(
