@@ -54,9 +54,6 @@ class Tensor:
     def __radd__(self, other):
         return add_const(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_const(self, -np.asarray(other))
-
     def __mul__(self, other):
         return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
 
@@ -89,12 +86,6 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _check_finite(data: Array, op: str) -> Array:
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by {op}")
-    return data
-
-
 # ---------------------------------------------------------------------------
 # Elementwise and structural ops
 # ---------------------------------------------------------------------------
@@ -113,17 +104,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def add_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.data + np.asarray(c, dtype=np.float64), (a,))
     out._backward = lambda g: _accum(a, _unbroadcast(g, a.shape))
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, (a, b))
-
-    def bw(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    out._backward = bw
     return out
 
 
@@ -168,20 +148,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y, (x,))
-    out._backward = lambda g: _accum(x, g * (1.0 - y * y))
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_nd(x.data)
-    out = Tensor(y, (x,))
-    out._backward = lambda g: _accum(x, g * y * (1.0 - y))
-    return out
-
-
 def _sigmoid_nd(z: Array) -> Array:
     # overflow-safe logistic: exp only ever sees non-positive arguments
     e = np.exp(-np.abs(z))
@@ -192,21 +158,6 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0), (x,))
     out._backward = lambda g: _accum(x, g * mask)
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    out = Tensor(_check_finite(y, "exp"), (x,))
-    out._backward = lambda g: _accum(x, g * y)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise FloatingPointError("log of a non-positive value")
-    out = Tensor(np.log(x.data), (x,))
-    out._backward = lambda g: _accum(x, g / x.data)
     return out
 
 
@@ -235,12 +186,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accum(p, g[tuple(sl)])
 
     out._backward = bw
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape), (x,))
-    out._backward = lambda g: _accum(x, g.reshape(x.shape))
     return out
 
 

@@ -1,24 +1,34 @@
-"""Model zoo: independent classifiers and taggers plus the two joint models.
+"""One composable model; the six architectures are presets of it.
 
 Every architecture shares the same skeleton: trainable embeddings feed an
 encoder, and small affine heads produce class and/or per-token tag logits.
+A preset fixes four choices:
 
-* cnn             -- windowed convolutions (widths 3/4/5) + max-over-time
-                     pooling, class head only.
-* lstm_classifier -- BiLSTM; the concatenated final states feed the class head.
-* lstm_tagger     -- BiLSTM; per-token softmax over the 9 BIO tags.
-* lstm_crf        -- same trunk with a linear-chain CRF on top.
-* joint           -- one shared BiLSTM encoder; the pooled sentence state
-                     (concatenated final states, the whole-sentence summary)
-                     feeds the class head and each token state feeds the slot
-                     head.
-* enhanced_joint  -- like joint, but every token state is concatenated with
-                     the sentence state before the slot head, injecting
-                     sentence-level evidence into every tag decision.
+* the encoder -- windowed convolutions (widths 3/4/5) with max-over-time
+  pooling, or a BiLSTM whose per-token states feed the tag head and whose
+  concatenated final states (the whole-sentence summary) feed the class head;
+* whether there is a class head;
+* the tag head -- none, a per-token softmax over the 9 BIO tags, or a
+  linear-chain CRF;
+* "enhanced" -- every token state is concatenated with the sentence state
+  before the tag head, injecting sentence-level evidence into every tag
+  decision.
 
-The joint models can run on a word-level encoder or on a subword encoder; in
-the subword case tag logits are gathered at each token's first subtoken, so
-the prediction count always equals the original token count.
+==================  =======  ==========  ========  ========
+preset              encoder  class head  tag head  enhanced
+==================  =======  ==========  ========  ========
+cnn                 cnn      yes         --        no
+lstm_classifier     bilstm   yes         --        no
+lstm_tagger         bilstm   no          softmax   no
+lstm_crf            bilstm   no          crf       no
+joint               bilstm   yes         softmax   no
+enhanced_joint      bilstm   yes         softmax   yes
+==================  =======  ==========  ========  ========
+
+The joint presets (class head and tag head over one shared encoder) can read
+words or subwords; in the subword case tag logits are gathered at each
+token's first subtoken, so the prediction count always equals the original
+token count. The other presets read words.
 """
 
 from __future__ import annotations
@@ -47,18 +57,19 @@ from .layers import (
 )
 from .optim import ParamStore
 
-ARCHITECTURES = ("cnn", "lstm_classifier", "lstm_tagger", "lstm_crf", "joint", "enhanced_joint")
+# architecture -> (encoder, class head, tag head, enhanced)
+_PRESETS = {
+    "cnn": ("cnn", True, None, False),
+    "lstm_classifier": ("bilstm", True, None, False),
+    "lstm_tagger": ("bilstm", False, "softmax", False),
+    "lstm_crf": ("bilstm", False, "crf", False),
+    "joint": ("bilstm", True, "softmax", False),
+    "enhanced_joint": ("bilstm", True, "softmax", True),
+}
+
+ARCHITECTURES = tuple(_PRESETS)
 
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_LABELS)}
-
-ARCH_KIND = {
-    "cnn": "classifier",
-    "lstm_classifier": "classifier",
-    "lstm_tagger": "tagger",
-    "lstm_crf": "tagger",
-    "joint": "joint",
-    "enhanced_joint": "joint",
-}
 
 
 @dataclass(frozen=True)
@@ -133,16 +144,10 @@ class Prediction:
     tags: tuple[str, ...] | None = None
 
 
-@dataclass
-class EncoderOutput:
-    token_states: Tensor  # [n, d_tok], one row per original token
-    sentence_state: Tensor  # [d_sent], the pooled whole-sentence summary
-
-
-@dataclass
-class JointOutput:
-    class_probs: np.ndarray  # simplex over (non_traffic, traffic)
-    tag_probs: np.ndarray  # [n, 9], each row a simplex point
+def uses_subwords(architecture: str, config: ModelConfig) -> bool:
+    """Whether the preset reads subwords: only the joint presets can."""
+    _, class_head, tag_head, _ = _PRESETS[architecture]
+    return class_head and tag_head is not None and config.encoder == "subword"
 
 
 def _gold_class(tweet: Tweet) -> int:
@@ -154,279 +159,175 @@ def _gold_tag_ids(tweet: Tweet) -> list[int]:
     return [bio.TAG_INDEX[t] for t in tags]
 
 
-def _class_from_probs(probs: np.ndarray) -> str:
-    # strict inequality: a tie stays non_traffic
-    return TRAFFIC if probs[CLASS_INDEX[TRAFFIC]] > probs[CLASS_INDEX[NON_TRAFFIC]] else NON_TRAFFIC
+class Model:
+    """An embedding and an encoder under an optional class head and an
+    optional tag head, configured by one of the ``ARCHITECTURES`` presets.
 
+    The loss sums the class cross-entropy and the tag head's loss: summed
+    per-token cross-entropies, or the CRF negative log-likelihood.
+    Continuation subtokens contribute nothing, since tag logits exist only at
+    first-subtoken positions.
+    """
 
-def _tags_from_rows(tag_probs: np.ndarray) -> tuple[str, ...]:
-    return tuple(bio.TAGS[i] for i in tag_probs.argmax(axis=1))
-
-
-class _ModelBase:
-    architecture: str
-
-    def __init__(self, config: ModelConfig, seed: int):
+    def __init__(
+        self,
+        architecture: str,
+        config: ModelConfig,
+        seed: int,
+        word_vocab: WordVocab | None = None,
+        subword_vocab: subword.SubwordVocab | None = None,
+    ):
+        if architecture not in _PRESETS:
+            raise ValueError(f"unknown architecture {architecture!r}")
+        self.architecture = architecture
+        self.encoder, self.class_head, self.tag_head, self.enhanced = _PRESETS[architecture]
         self.config = config
         self.seed = seed
         self.store = ParamStore(np.random.default_rng(seed))
         self.word_vocab: WordVocab | None = None
         self.subword_vocab: subword.SubwordVocab | None = None
+        if uses_subwords(architecture, config):
+            if subword_vocab is None:
+                raise ValueError(f"{architecture} on subwords needs a subword vocabulary")
+            self.subword_vocab = subword_vocab
+        else:
+            if word_vocab is None:
+                raise ValueError(f"{architecture} on words needs a word vocabulary")
+            self.word_vocab = word_vocab
+        # the joint presets keep the parameter names of their own v1 class
+        joint = self.kind == "joint"
+        self._prefix = "enc." if joint else ""
+        self._cls = "cls" if joint else "out"
+        self._tag = "slot" if joint else "tag"
+        self._add_params()
 
     @property
     def kind(self) -> str:
-        return ARCH_KIND[self.architecture]
+        if self.class_head and self.tag_head:
+            return "joint"
+        return "classifier" if self.class_head else "tagger"
 
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        raise NotImplementedError
+    def _add_params(self) -> None:
+        config, store, p = self.config, self.store, self._prefix
+        d = config.embed_dim
+        vocab = self.subword_vocab if self.subword_vocab is not None else self.word_vocab
+        store.add(f"{p}emb", (len(vocab), d), "embedding")
+        if self.encoder == "cnn":
+            f = config.cnn_filters
+            for w in config.cnn_widths:
+                store.add(f"conv{w}.w", (w * d, f))
+                store.add(f"conv{w}.b", (f,), "zeros")
+            d_tok, d_sent = 0, len(config.cnn_widths) * f
+        else:
+            h = getattr(config, f"{self.kind}_hidden")
+            for direction in ("f", "b"):
+                store.add(f"{p}lstm_{direction}.w", (d + h, 4 * h))
+                b = store.add(f"{p}lstm_{direction}.b", (4 * h,), "zeros")
+                b.data[h : 2 * h] = 1.0  # forget-gate bias
+            d_tok = d_sent = 2 * h
+        if self.class_head:
+            store.add(f"{self._cls}.w", (d_sent, len(CLASS_LABELS)))
+            store.add(f"{self._cls}.b", (len(CLASS_LABELS),), "zeros")
+        if self.tag_head:
+            slot_in = d_tok + d_sent if self.enhanced else d_tok
+            store.add(f"{self._tag}.w", (slot_in, bio.NUM_TAGS))
+            store.add(f"{self._tag}.b", (bio.NUM_TAGS,), "zeros")
+        if self.tag_head == "crf":
+            store.add("crf.trans", (bio.NUM_TAGS, bio.NUM_TAGS))
+            store.add("crf.start", (bio.NUM_TAGS,))
+            store.add("crf.end", (bio.NUM_TAGS,))
 
-    def predict(self, tweet: Tweet) -> Prediction:
-        raise NotImplementedError
-
-
-class CnnClassifier(_ModelBase):
-    architecture = "cnn"
-
-    def __init__(self, vocab: WordVocab, config: ModelConfig, seed: int):
-        super().__init__(config, seed)
-        self.word_vocab = vocab
-        d, f = config.embed_dim, config.cnn_filters
-        self.store.add("emb", (len(vocab), d), "embedding")
-        for w in config.cnn_widths:
-            self.store.add(f"conv{w}.w", (w * d, f))
-            self.store.add(f"conv{w}.b", (f,), "zeros")
-        self.store.add("out.w", (len(config.cnn_widths) * f, len(CLASS_LABELS)))
-        self.store.add("out.b", (len(CLASS_LABELS),), "zeros")
-
-    def class_logits(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
-        ids = self.word_vocab.encode(tokens)
-        pad_to = max(self.config.cnn_widths)
-        if len(ids) < pad_to:
-            ids = ids + [self.word_vocab.stoi[WordVocab.PAD]] * (pad_to - len(ids))
-        x = embedding_lookup(self.store["emb"], ids)
-        pooled = [
-            max_pool_over_time(relu(conv_window(x, self.store[f"conv{w}.w"], self.store[f"conv{w}.b"])))
-            for w in self.config.cnn_widths
-        ]
-        h = dropout(concat(pooled), self.config.dropout, train, rng)
-        return affine(h, self.store["out.w"], self.store["out.b"])
-
-    def class_probs(self, tokens: Sequence[str]) -> np.ndarray:
-        return softmax_probs(self.class_logits(tokens).data)
-
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        loss, _ = softmax_xent(self.class_logits(tweet.tokens, train, rng), _gold_class(tweet))
-        return loss
-
-    def predict(self, tweet: Tweet) -> Prediction:
-        return Prediction(_class_from_probs(self.class_probs(tweet.tokens)), ())
-
-
-class LstmClassifier(_ModelBase):
-    architecture = "lstm_classifier"
-
-    def __init__(self, vocab: WordVocab, config: ModelConfig, seed: int):
-        super().__init__(config, seed)
-        self.word_vocab = vocab
-        d, h = config.embed_dim, config.classifier_hidden
-        self.store.add("emb", (len(vocab), d), "embedding")
-        _add_lstm_params(self.store, "lstm", d, h)
-        self.store.add("out.w", (2 * h, len(CLASS_LABELS)))
-        self.store.add("out.b", (len(CLASS_LABELS),), "zeros")
-
-    def class_logits(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
-        x = embedding_lookup(self.store["emb"], self.word_vocab.encode(tokens))
-        _, hf, hb = bilstm(
-            x, self.store["lstm_f.w"], self.store["lstm_f.b"],
-            self.store["lstm_b.w"], self.store["lstm_b.b"],
+    def _encode(self, tokens: Sequence[str]) -> tuple[Tensor | None, Tensor | None]:
+        """(token states, one row per original token, or None for the cnn;
+        the pooled whole-sentence state, or None without a class head)."""
+        store, p = self.store, self._prefix
+        if self.subword_vocab is not None:
+            ids, gather = subword.encode(tokens, self.subword_vocab)
+        else:
+            ids, gather = self.word_vocab.encode(tokens), None
+        if self.encoder == "cnn":  # a tweet shorter than the widest window is padded
+            short = max(self.config.cnn_widths) - len(ids)
+            ids = ids + [self.word_vocab.stoi[WordVocab.PAD]] * short
+        x = embedding_lookup(store[f"{p}emb"], ids)
+        if self.encoder == "cnn":
+            pooled = [
+                max_pool_over_time(relu(conv_window(x, store[f"conv{w}.w"], store[f"conv{w}.b"])))
+                for w in self.config.cnn_widths
+            ]
+            return None, concat(pooled)
+        states, hf, hb = bilstm(
+            x, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
+            store[f"{p}lstm_b.w"], store[f"{p}lstm_b.b"],
         )
-        h = dropout(concat((hf, hb)), self.config.dropout, train, rng)
-        return affine(h, self.store["out.w"], self.store["out.b"])
+        if gather is not None:
+            states = take_rows(states, gather)
+        return states, concat((hf, hb)) if self.class_head else None
 
-    def class_probs(self, tokens: Sequence[str]) -> np.ndarray:
-        return softmax_probs(self.class_logits(tokens).data)
+    def logits(
+        self, tokens: Sequence[str], train: bool = False, rng=None
+    ) -> tuple[Tensor | None, Tensor | None]:
+        """(class logits, per-token tag logits); None where there is no head.
 
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        loss, _ = softmax_xent(self.class_logits(tweet.tokens, train, rng), _gold_class(tweet))
-        return loss
-
-    def predict(self, tweet: Tweet) -> Prediction:
-        return Prediction(_class_from_probs(self.class_probs(tweet.tokens)), ())
-
-
-def _add_lstm_params(store: ParamStore, prefix: str, input_dim: int, hidden: int) -> None:
-    for direction in ("f", "b"):
-        store.add(f"{prefix}_{direction}.w", (input_dim + hidden, 4 * hidden))
-        b = store.add(f"{prefix}_{direction}.b", (4 * hidden,), "zeros")
-        b.data[hidden : 2 * hidden] = 1.0  # forget-gate bias
-
-
-class _TaggerBase(_ModelBase):
-    def __init__(self, vocab: WordVocab, config: ModelConfig, seed: int):
-        super().__init__(config, seed)
-        self.word_vocab = vocab
-        d, h = config.embed_dim, config.tagger_hidden
-        self.store.add("emb", (len(vocab), d), "embedding")
-        _add_lstm_params(self.store, "lstm", d, h)
-        self.store.add("tag.w", (2 * h, bio.NUM_TAGS))
-        self.store.add("tag.b", (bio.NUM_TAGS,), "zeros")
+        Dropout draws for the token states come before the sentence state's.
+        """
+        token_states, sentence_state = self._encode(tokens)
+        rate, store = self.config.dropout, self.store
+        class_logits = tag_logits = None
+        if self.tag_head:
+            token_states = dropout(token_states, rate, train, rng)
+        if self.class_head:
+            sentence_state = dropout(sentence_state, rate, train, rng)
+            class_logits = affine(sentence_state, store[f"{self._cls}.w"], store[f"{self._cls}.b"])
+        if self.tag_head:
+            if self.enhanced:
+                tiled = tile_rows(sentence_state, token_states.data.shape[0])
+                token_states = concat((token_states, tiled), axis=1)
+            tag_logits = affine(token_states, store[f"{self._tag}.w"], store[f"{self._tag}.b"])
+        return class_logits, tag_logits
 
     def emissions(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
-        x = embedding_lookup(self.store["emb"], self.word_vocab.encode(tokens))
-        states, _, _ = bilstm(
-            x, self.store["lstm_f.w"], self.store["lstm_f.b"],
-            self.store["lstm_b.w"], self.store["lstm_b.b"],
-        )
-        states = dropout(states, self.config.dropout, train, rng)
-        return affine(states, self.store["tag.w"], self.store["tag.b"])
-
-
-class LstmTagger(_TaggerBase):
-    architecture = "lstm_tagger"
-
-    def tag_probs(self, tokens: Sequence[str]) -> np.ndarray:
-        return softmax_probs(self.emissions(tokens).data)
-
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        loss, _ = softmax_xent_rows(
-            self.emissions(tweet.tokens, train, rng), _gold_tag_ids(tweet)
-        )
-        return loss
-
-    def predict(self, tweet: Tweet) -> Prediction:
-        tags = _tags_from_rows(self.tag_probs(tweet.tokens))
-        return Prediction(None, tuple(bio.decode_tags(tags)), tags)
-
-
-class LstmCrfTagger(_TaggerBase):
-    architecture = "lstm_crf"
-
-    def __init__(self, vocab: WordVocab, config: ModelConfig, seed: int):
-        super().__init__(vocab, config, seed)
-        self.store.add("crf.trans", (bio.NUM_TAGS, bio.NUM_TAGS))
-        self.store.add("crf.start", (bio.NUM_TAGS,))
-        self.store.add("crf.end", (bio.NUM_TAGS,))
+        """Per-token tag logits, the CRF's emission scores."""
+        return self.logits(tokens, train, rng)[1]
 
     @property
     def crf(self) -> crf_mod.CrfModel:
-        return crf_mod.CrfModel(
-            self.store["crf.trans"], self.store["crf.start"], self.store["crf.end"]
-        )
+        store = self.store
+        return crf_mod.CrfModel(store["crf.trans"], store["crf.start"], store["crf.end"])
 
     def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        return crf_mod.nll(
-            self.emissions(tweet.tokens, train, rng), self.crf, _gold_tag_ids(tweet)
-        )
+        class_logits, tag_logits = self.logits(tweet.tokens, train, rng)
+        terms = []
+        if class_logits is not None:
+            terms.append(softmax_xent(class_logits, _gold_class(tweet))[0])
+        if tag_logits is not None:
+            gold = _gold_tag_ids(tweet)
+            if self.tag_head == "crf":
+                terms.append(crf_mod.nll(tag_logits, self.crf, gold))
+            else:
+                terms.append(softmax_xent_rows(tag_logits, gold)[0])
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     def predict(self, tweet: Tweet) -> Prediction:
-        path, _ = crf_mod.viterbi(
-            self.emissions(tweet.tokens), self.crf,
-            constrained=self.config.constrained_decode,
-        )
+        class_logits, tag_logits = self.logits(tweet.tokens)
+        label = None
+        if class_logits is not None:
+            probs = softmax_probs(class_logits.data)
+            # strict inequality: a tie stays non_traffic
+            traffic = probs[CLASS_INDEX[TRAFFIC]] > probs[CLASS_INDEX[NON_TRAFFIC]]
+            label = TRAFFIC if traffic else NON_TRAFFIC
+        if tag_logits is None:
+            return Prediction(label, ())
+        if self.tag_head == "crf":
+            path, _ = crf_mod.viterbi(
+                tag_logits, self.crf, constrained=self.config.constrained_decode
+            )
+        else:
+            path = softmax_probs(tag_logits.data).argmax(axis=1)
         tags = tuple(bio.TAGS[i] for i in path)
-        return Prediction(None, tuple(bio.decode_tags(tags)), tags)
+        return Prediction(label, tuple(bio.decode_tags(tags)), tags)
 
 
-class JointModel(_ModelBase):
-    """Shared encoder with a class head and a slot head, trained jointly.
-
-    The loss is the class cross-entropy plus the summed per-token tag
-    cross-entropies (continuation subtokens contribute nothing: tag logits
-    exist only at first-subtoken positions). The enhanced variant widens the
-    slot head input with the sentence state.
-    """
-
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int,
-        enhanced: bool,
-        word_vocab: WordVocab | None = None,
-        subword_vocab: subword.SubwordVocab | None = None,
-    ):
-        super().__init__(config, seed)
-        self.enhanced = enhanced
-        self.architecture = "enhanced_joint" if enhanced else "joint"
-        if config.encoder == "word":
-            if word_vocab is None:
-                raise ValueError("word encoder needs a WordVocab")
-            self.word_vocab = word_vocab
-            vocab_rows = len(word_vocab)
-        else:
-            if subword_vocab is None:
-                raise ValueError("subword encoder needs a SubwordVocab")
-            self.subword_vocab = subword_vocab
-            vocab_rows = len(subword_vocab)
-        d, h = config.embed_dim, config.joint_hidden
-        d_tok = d_sent = 2 * h
-        self.store.add("enc.emb", (vocab_rows, d), "embedding")
-        _add_lstm_params(self.store, "enc.lstm", d, h)
-        self.store.add("cls.w", (d_sent, len(CLASS_LABELS)))
-        self.store.add("cls.b", (len(CLASS_LABELS),), "zeros")
-        slot_in = d_tok + d_sent if enhanced else d_tok
-        self.store.add("slot.w", (slot_in, bio.NUM_TAGS))
-        self.store.add("slot.b", (bio.NUM_TAGS,), "zeros")
-
-    def encode(self, tokens: Sequence[str], train: bool = False, rng=None) -> EncoderOutput:
-        if self.config.encoder == "word":
-            ids = self.word_vocab.encode(tokens)
-            gather = None
-        else:
-            ids, gather = subword.encode(tokens, self.subword_vocab)
-        x = embedding_lookup(self.store["enc.emb"], ids)
-        states, hf, hb = bilstm(
-            x, self.store["enc.lstm_f.w"], self.store["enc.lstm_f.b"],
-            self.store["enc.lstm_b.w"], self.store["enc.lstm_b.b"],
-        )
-        token_states = states if gather is None else take_rows(states, gather)
-        sentence_state = concat((hf, hb))
-        rate = self.config.dropout
-        return EncoderOutput(
-            token_states=dropout(token_states, rate, train, rng),
-            sentence_state=dropout(sentence_state, rate, train, rng),
-        )
-
-    def logits(self, tokens: Sequence[str], train: bool = False, rng=None) -> tuple[Tensor, Tensor]:
-        enc = self.encode(tokens, train, rng)
-        class_logits = affine(enc.sentence_state, self.store["cls.w"], self.store["cls.b"])
-        if self.enhanced:
-            n = enc.token_states.data.shape[0]
-            tiled = tile_rows(enc.sentence_state, n)
-            slot_input = concat((enc.token_states, tiled), axis=1)
-        else:
-            slot_input = enc.token_states
-        slot_logits = affine(slot_input, self.store["slot.w"], self.store["slot.b"])
-        return class_logits, slot_logits
-
-    def forward(self, tokens: Sequence[str]) -> JointOutput:
-        class_logits, slot_logits = self.logits(tokens)
-        return JointOutput(softmax_probs(class_logits.data), softmax_probs(slot_logits.data))
-
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        class_logits, slot_logits = self.logits(tweet.tokens, train, rng)
-        class_loss, _ = softmax_xent(class_logits, _gold_class(tweet))
-        slot_loss, _ = softmax_xent_rows(slot_logits, _gold_tag_ids(tweet))
-        return add(class_loss, slot_loss)
-
-    def predict(self, tweet: Tweet) -> Prediction:
-        out = self.forward(tweet.tokens)
-        tags = _tags_from_rows(out.tag_probs)
-        return Prediction(_class_from_probs(out.class_probs), tuple(bio.decode_tags(tags)), tags)
-
-
-def joint_loss(output: JointOutput, gold_class: str, gold_tags: Sequence[str]) -> float:
-    """Factorized joint negative log-likelihood from probabilities:
-    -log p(class) - sum_i log p(tag_i)."""
-    n = output.tag_probs.shape[0]
-    if len(gold_tags) != n:
-        raise ValueError(f"expected {n} gold tags, got {len(gold_tags)}")
-    total = -float(np.log(output.class_probs[CLASS_INDEX[gold_class]]))
-    for i, tag in enumerate(gold_tags):
-        total -= float(np.log(output.tag_probs[i, bio.TAG_INDEX[tag]]))
-    return total
-
-
-def predict(model: _ModelBase, tweet: Tweet, suppress_non_traffic_spans: bool = False) -> Prediction:
+def predict(model: Model, tweet: Tweet, suppress_non_traffic_spans: bool = False) -> Prediction:
     """Run a trained model on one tweet.
 
     By default span predictions are kept even when the tweet is classified
@@ -453,30 +354,19 @@ def build_model(
     seed: int,
     word_vocab: WordVocab | None = None,
     subword_vocab: subword.SubwordVocab | None = None,
-) -> _ModelBase:
-    if architecture not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    if architecture == "cnn":
-        return CnnClassifier(word_vocab, config, seed)
-    if architecture == "lstm_classifier":
-        return LstmClassifier(word_vocab, config, seed)
-    if architecture == "lstm_tagger":
-        return LstmTagger(word_vocab, config, seed)
-    if architecture == "lstm_crf":
-        return LstmCrfTagger(word_vocab, config, seed)
-    return JointModel(
-        config,
-        seed,
-        enhanced=(architecture == "enhanced_joint"),
-        word_vocab=word_vocab,
-        subword_vocab=subword_vocab,
-    )
+) -> Model:
+    return Model(architecture, config, seed, word_vocab, subword_vocab)
 
 
 CHECKPOINT_VERSION = 1
 
+_CHECKPOINT_FIELDS = (
+    "architecture", "model_config", "seed", "tag_order", "class_order",
+    "word_vocab", "subword_vocab", "params",
+)
 
-def checkpoint_payload(model: _ModelBase, extra: dict | None = None) -> dict:
+
+def checkpoint_payload(model: Model, extra: dict | None = None) -> dict:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": model.architecture,
@@ -499,16 +389,21 @@ def checkpoint_payload(model: _ModelBase, extra: dict | None = None) -> dict:
     return payload
 
 
-def save_checkpoint(model: _ModelBase, path: str | Path, extra: dict | None = None) -> None:
+def save_checkpoint(model: Model, path: str | Path, extra: dict | None = None) -> None:
     Path(path).write_text(
         json.dumps(checkpoint_payload(model, extra)) + "\n", encoding="utf-8"
     )
 
 
-def load_checkpoint(path: str | Path) -> _ModelBase:
+def load_checkpoint(path: str | Path) -> Model:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint is a JSON {type(payload).__name__}, not an object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    missing = [name for name in _CHECKPOINT_FIELDS if name not in payload]
+    if missing:
+        raise ValueError(f"checkpoint lacks the fields {missing}")
     if payload["tag_order"] != list(bio.TAGS):
         raise ValueError("checkpoint tag inventory does not match this build")
     if payload["class_order"] != list(CLASS_LABELS):

@@ -22,12 +22,12 @@ from . import metrics
 from .autodiff import backward
 from .corpus import TRAFFIC, Corpus, CorpusError, GeneratorConfig, Tweet
 from .models import (
-    ARCH_KIND,
     ARCHITECTURES,
+    Model,
     ModelConfig,
     WordVocab,
-    _ModelBase,
     build_model,
+    uses_subwords,
 )
 from .optim import ParamStore, adam_step, clip_global_norm, global_norm, sgd_step
 from .subword import SubwordVocab, build_vocab
@@ -160,7 +160,7 @@ class RunLog:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def evaluate(model: _ModelBase, corpus: Corpus) -> metrics.MetricReport:
+def evaluate(model: Model, corpus: Corpus) -> metrics.MetricReport:
     """Score a model on a corpus with the metrics its kind supports."""
     if len(corpus) == 0:
         raise CorpusError("cannot evaluate on an empty corpus")
@@ -208,10 +208,7 @@ def criterion_value(report: metrics.MetricReport, kind: str) -> float:
 def build_vocabularies(
     config: ExperimentConfig, train_corpus: Corpus
 ) -> tuple[WordVocab | None, SubwordVocab | None]:
-    needs_subword = (
-        ARCH_KIND[config.architecture] == "joint" and config.model.encoder == "subword"
-    )
-    if needs_subword:
+    if uses_subwords(config.architecture, config.model):
         return None, build_vocab(train_corpus, config.model.subword_vocab_size)
     return WordVocab.build(train_corpus), None
 
@@ -230,7 +227,7 @@ def _batches(order: np.ndarray, batch_size: int):
 
 def train_model(
     config: ExperimentConfig, train_corpus: Corpus, dev_corpus: Corpus
-) -> tuple[_ModelBase, RunLog]:
+) -> tuple[Model, RunLog]:
     """Train one model and return it with its run log (test not yet filled)."""
     started = time.perf_counter()
     word_vocab, sub_vocab = build_vocabularies(config, train_corpus)
@@ -301,7 +298,7 @@ def train_and_test(
     train_corpus: Corpus,
     dev_corpus: Corpus,
     test_corpus: Corpus,
-) -> tuple[_ModelBase, RunLog, metrics.MetricReport]:
+) -> tuple[Model, RunLog, metrics.MetricReport]:
     model, log = train_model(config, train_corpus, dev_corpus)
     report = evaluate(model, test_corpus)
     log.test = report.to_dict()

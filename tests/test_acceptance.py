@@ -28,7 +28,7 @@ from traffictag.corpus import (
 )
 from traffictag.crf import CrfModel, brute_force_oracle, log_partition, viterbi
 from traffictag.metrics import classification_f1, sentence_accuracy, span_f1
-from traffictag.models import JointModel, ModelConfig, WordVocab, build_model
+from traffictag.models import ModelConfig, WordVocab, build_model
 from traffictag.training import ExperimentConfig, train_and_test
 
 GRADCHECK_CONFIG = ModelConfig(
@@ -190,8 +190,8 @@ def test_metric_oracles():
 def test_enhanced_reduction_property():
     corpus = generate_synthetic(GeneratorConfig(size=60), seed=200)
     sub_vocab = subword.build_vocab(corpus, 200)
-    plain = JointModel(GRADCHECK_CONFIG, seed=1, enhanced=False, subword_vocab=sub_vocab)
-    wide = JointModel(GRADCHECK_CONFIG, seed=2, enhanced=True, subword_vocab=sub_vocab)
+    plain = build_model("joint", GRADCHECK_CONFIG, seed=1, subword_vocab=sub_vocab)
+    wide = build_model("enhanced_joint", GRADCHECK_CONFIG, seed=2, subword_vocab=sub_vocab)
     for name, tensor in plain.store.params.items():
         if name != "slot.w":
             wide.store[name].data[...] = tensor.data

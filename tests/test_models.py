@@ -1,30 +1,32 @@
-"""Model zoo: output contracts, the enhanced-joint reduction, checkpoints."""
+"""The model and its presets: output contracts, the enhanced-joint
+reduction, parameter layout, edge cases, checkpoints."""
 
 from __future__ import annotations
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+from helpers import random_span_set
 from traffictag import bio, subword
 from traffictag.autodiff import backward, grad_check
 from traffictag.corpus import (
+    CLASS_LABELS,
     NON_TRAFFIC,
     TRAFFIC,
     GeneratorConfig,
+    SlotSpan,
     Tweet,
     generate_synthetic,
 )
+from traffictag.layers import softmax_probs
 from traffictag.models import (
     ARCHITECTURES,
-    CnnClassifier,
-    JointModel,
-    LstmClassifier,
-    LstmCrfTagger,
-    LstmTagger,
     ModelConfig,
     WordVocab,
     build_model,
-    joint_loss,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -67,46 +69,146 @@ def zero_params(model):
     return model
 
 
+def class_probs(model, tokens):
+    return softmax_probs(model.logits(tokens)[0].data)
+
+
+def tag_probs(model, tokens):
+    return softmax_probs(model.logits(tokens)[1].data)
+
+
+# parameter names and shapes, in store order, at PIN with WORDS and PIECES:
+# the layout every v1 checkpoint was written with
+PIN = ModelConfig(embed_dim=6, classifier_hidden=5, tagger_hidden=4, joint_hidden=3,
+                  cnn_filters=2)
+WORDS = WordVocab(["file", "op", "e40"])
+PIECES = subword.SubwordVocab(subword.SPECIALS + ("f", "##f"))
+PINNED_LAYOUT = {
+    ("cnn", "subword"): [
+        ("emb", (5, 6)), ("conv3.w", (18, 2)), ("conv3.b", (2,)), ("conv4.w", (24, 2)),
+        ("conv4.b", (2,)), ("conv5.w", (30, 2)), ("conv5.b", (2,)), ("out.w", (6, 2)),
+        ("out.b", (2,)),
+    ],
+    ("lstm_classifier", "subword"): [
+        ("emb", (5, 6)), ("lstm_f.w", (11, 20)), ("lstm_f.b", (20,)), ("lstm_b.w", (11, 20)),
+        ("lstm_b.b", (20,)), ("out.w", (10, 2)), ("out.b", (2,)),
+    ],
+    ("lstm_tagger", "subword"): [
+        ("emb", (5, 6)), ("lstm_f.w", (10, 16)), ("lstm_f.b", (16,)), ("lstm_b.w", (10, 16)),
+        ("lstm_b.b", (16,)), ("tag.w", (8, 9)), ("tag.b", (9,)),
+    ],
+    ("lstm_crf", "subword"): [
+        ("emb", (5, 6)), ("lstm_f.w", (10, 16)), ("lstm_f.b", (16,)), ("lstm_b.w", (10, 16)),
+        ("lstm_b.b", (16,)), ("tag.w", (8, 9)), ("tag.b", (9,)), ("crf.trans", (9, 9)),
+        ("crf.start", (9,)), ("crf.end", (9,)),
+    ],
+    ("joint", "subword"): [
+        ("enc.emb", (6, 6)), ("enc.lstm_f.w", (9, 12)), ("enc.lstm_f.b", (12,)),
+        ("enc.lstm_b.w", (9, 12)), ("enc.lstm_b.b", (12,)), ("cls.w", (6, 2)), ("cls.b", (2,)),
+        ("slot.w", (6, 9)), ("slot.b", (9,)),
+    ],
+    ("joint", "word"): [
+        ("enc.emb", (5, 6)), ("enc.lstm_f.w", (9, 12)), ("enc.lstm_f.b", (12,)),
+        ("enc.lstm_b.w", (9, 12)), ("enc.lstm_b.b", (12,)), ("cls.w", (6, 2)), ("cls.b", (2,)),
+        ("slot.w", (6, 9)), ("slot.b", (9,)),
+    ],
+    ("enhanced_joint", "subword"): [
+        ("enc.emb", (6, 6)), ("enc.lstm_f.w", (9, 12)), ("enc.lstm_f.b", (12,)),
+        ("enc.lstm_b.w", (9, 12)), ("enc.lstm_b.b", (12,)), ("cls.w", (6, 2)), ("cls.b", (2,)),
+        ("slot.w", (12, 9)), ("slot.b", (9,)),
+    ],
+    ("enhanced_joint", "word"): [
+        ("enc.emb", (5, 6)), ("enc.lstm_f.w", (9, 12)), ("enc.lstm_f.b", (12,)),
+        ("enc.lstm_b.w", (9, 12)), ("enc.lstm_b.b", (12,)), ("cls.w", (6, 2)), ("cls.b", (2,)),
+        ("slot.w", (12, 9)), ("slot.b", (9,)),
+    ],
+}
+
+
+def edge_tweets(vocab_tweet):
+    """A single-token tweet, one made only of characters no vocabulary has
+    seen, and a 300-token tweet with seeded random spans."""
+    rng = random.Random(31)
+    words = list(vocab_tweet.tokens)
+    long_tokens = tuple(rng.choice(words) for _ in range(300))
+    return [
+        Tweet("one", "file", ("file",), TRAFFIC, (SlotSpan("what", 0, 1),)),
+        Tweet("oov", "ǂǂ ŧŧŧ ǂ", ("ǂǂ", "ŧŧŧ", "ǂ"), TRAFFIC, (SlotSpan("where", 1, 3),)),
+        Tweet("long", " ".join(long_tokens), long_tokens, TRAFFIC,
+              tuple(random_span_set(rng, 300))),
+    ]
+
+
+class TestPresets:
+    @pytest.mark.parametrize("arch,encoder", list(PINNED_LAYOUT))
+    def test_parameter_layout_pinned(self, arch, encoder):
+        config = dataclasses.replace(PIN, encoder=encoder)
+        model = build_model(arch, config, seed=1, word_vocab=WORDS, subword_vocab=PIECES)
+        assert [(name, t.shape) for name, t in model.store.params.items()] == \
+            PINNED_LAYOUT[arch, encoder]
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_missing_vocabulary_rejected(self, arch, word_vocab, sub_vocab):
+        # SMALL reads subwords wherever a preset can
+        wanted = "subword" if arch in ("joint", "enhanced_joint") else "word"
+        given = {"word_vocab": word_vocab} if wanted == "subword" else {"subword_vocab": sub_vocab}
+        with pytest.raises(ValueError, match=f"{arch} on {wanted}s needs a {wanted} vocabulary"):
+            build_model(arch, SMALL, seed=1, **given)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_edge_case_tweets(self, arch, word_vocab, sub_vocab, tweet):
+        model = build_model(arch, SMALL, seed=14, word_vocab=word_vocab, subword_vocab=sub_vocab)
+        rng = np.random.default_rng(0)
+        for edge in edge_tweets(tweet):
+            assert np.isfinite(model.loss(edge).item()), edge.id
+            assert np.isfinite(model.loss(edge, train=True, rng=rng).item()), edge.id
+            pred = model.predict(edge)
+            if model.tag_head:
+                assert len(pred.tags) == len(edge.tokens), edge.id
+            if model.class_head:
+                assert pred.class_label in CLASS_LABELS
+
+
 class TestClassifiers:
     def test_cnn_simplex_output(self, word_vocab, tweet):
-        model = CnnClassifier(word_vocab, SMALL, seed=1)
-        probs = model.class_probs(tweet.tokens)
+        model = build_model("cnn", SMALL, seed=1, word_vocab=word_vocab)
+        probs = class_probs(model, tweet.tokens)
         assert probs.shape == (2,)
         assert probs.min() >= 0 and abs(probs.sum() - 1) < 1e-12
 
     def test_cnn_zero_params_uniform(self, word_vocab, tweet):
-        model = zero_params(CnnClassifier(word_vocab, SMALL, seed=1))
-        assert np.allclose(model.class_probs(tweet.tokens), [0.5, 0.5])
+        model = zero_params(build_model("cnn", SMALL, seed=1, word_vocab=word_vocab))
+        assert np.allclose(class_probs(model, tweet.tokens), [0.5, 0.5])
 
     def test_cnn_pads_short_sentences(self, word_vocab):
-        model = CnnClassifier(word_vocab, SMALL, seed=1)
-        probs = model.class_probs(("file",))  # shorter than widest filter
+        model = build_model("cnn", SMALL, seed=1, word_vocab=word_vocab)
+        probs = class_probs(model, ("file",))  # shorter than widest filter
         assert abs(probs.sum() - 1) < 1e-12
 
     def test_lstm_zero_params_uniform(self, word_vocab, tweet):
-        model = zero_params(LstmClassifier(word_vocab, SMALL, seed=1))
-        assert np.allclose(model.class_probs(tweet.tokens), [0.5, 0.5])
+        model = zero_params(build_model("lstm_classifier", SMALL, seed=1, word_vocab=word_vocab))
+        assert np.allclose(class_probs(model, tweet.tokens), [0.5, 0.5])
 
     def test_lstm_direction_sensitivity(self, word_vocab):
-        model = LstmClassifier(word_vocab, SMALL, seed=3)
-        forward = model.class_probs(("file", "op", "de", "brug"))
-        reversed_ = model.class_probs(("brug", "de", "op", "file"))
+        model = build_model("lstm_classifier", SMALL, seed=3, word_vocab=word_vocab)
+        forward = class_probs(model, ("file", "op", "de", "brug"))
+        reversed_ = class_probs(model, ("brug", "de", "op", "file"))
         assert not np.allclose(forward, reversed_)
 
     def test_tie_breaks_to_non_traffic(self, word_vocab, tweet):
-        model = zero_params(CnnClassifier(word_vocab, SMALL, seed=1))
+        model = zero_params(build_model("cnn", SMALL, seed=1, word_vocab=word_vocab))
         assert model.predict(tweet).class_label == NON_TRAFFIC
 
 
 class TestTaggers:
     def test_one_row_per_token(self, word_vocab, tweet):
-        model = LstmTagger(word_vocab, SMALL, seed=2)
-        probs = model.tag_probs(tweet.tokens)
+        model = build_model("lstm_tagger", SMALL, seed=2, word_vocab=word_vocab)
+        probs = tag_probs(model, tweet.tokens)
         assert probs.shape == (len(tweet.tokens), bio.NUM_TAGS)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_decoded_spans_never_overlap(self, word_vocab, corpus):
-        model = LstmTagger(word_vocab, SMALL, seed=2)
+        model = build_model("lstm_tagger", SMALL, seed=2, word_vocab=word_vocab)
         for tweet in list(corpus)[:20]:
             pred = model.predict(tweet)
             ordered = sorted(pred.spans, key=lambda s: s.start)
@@ -114,13 +216,13 @@ class TestTaggers:
 
     def test_constrained_decode_always_valid(self, word_vocab, corpus):
         config = ModelConfig(**{**SMALL.to_dict(), "constrained_decode": True})
-        model = LstmCrfTagger(word_vocab, config, seed=4)
+        model = build_model("lstm_crf", config, seed=4, word_vocab=word_vocab)
         for tweet in list(corpus)[:30]:
             pred = model.predict(tweet)
             assert bio.validate(list(pred.tags)) == []
 
     def test_oov_tokens_map_to_unk(self, word_vocab):
-        model = LstmCrfTagger(word_vocab, SMALL, seed=4)
+        model = build_model("lstm_crf", SMALL, seed=4, word_vocab=word_vocab)
         unseen = Tweet("x", "zzzq qqqz", ("zzzq", "qqqz"), TRAFFIC, ())
         pred = model.predict(unseen)
         assert len(pred.tags) == 2
@@ -131,30 +233,29 @@ class TestJoint:
         for encoder, vocabs in (("word", {"word_vocab": word_vocab}),
                                 ("subword", {"subword_vocab": sub_vocab})):
             config = ModelConfig(**{**SMALL.to_dict(), "encoder": encoder})
-            model = JointModel(config, seed=5, enhanced=False, **vocabs)
-            out = model.forward(tweet.tokens)
-            assert out.class_probs.shape == (2,)
-            assert out.tag_probs.shape == (len(tweet.tokens), bio.NUM_TAGS)
-            assert abs(out.class_probs.sum() - 1) < 1e-9
-            assert np.allclose(out.tag_probs.sum(axis=1), 1.0, atol=1e-9)
+            model = build_model("joint", config, seed=5, **vocabs)
+            cls_p, tag_p = class_probs(model, tweet.tokens), tag_probs(model, tweet.tokens)
+            assert cls_p.shape == (2,)
+            assert tag_p.shape == (len(tweet.tokens), bio.NUM_TAGS)
+            assert abs(cls_p.sum() - 1) < 1e-9
+            assert np.allclose(tag_p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_slot_head_widths(self, sub_vocab):
-        plain = JointModel(SMALL, seed=5, enhanced=False, subword_vocab=sub_vocab)
-        wide = JointModel(SMALL, seed=5, enhanced=True, subword_vocab=sub_vocab)
+        plain = build_model("joint", SMALL, seed=5, subword_vocab=sub_vocab)
+        wide = build_model("enhanced_joint", SMALL, seed=5, subword_vocab=sub_vocab)
         d_tok = 2 * SMALL.joint_hidden
         assert plain.store["slot.w"].shape == (d_tok, bio.NUM_TAGS)
         assert wide.store["slot.w"].shape == (2 * d_tok, bio.NUM_TAGS)
 
     def test_first_subtoken_gather_keeps_token_count(self, sub_vocab, tweet):
-        model = JointModel(SMALL, seed=6, enhanced=True, subword_vocab=sub_vocab)
+        model = build_model("enhanced_joint", SMALL, seed=6, subword_vocab=sub_vocab)
         pieces, first = subword.encode(tweet.tokens, sub_vocab)
         assert len(pieces) > len(tweet.tokens) + 2 or len(first) == len(tweet.tokens)
-        out = model.forward(tweet.tokens)
-        assert out.tag_probs.shape[0] == len(tweet.tokens)
+        assert tag_probs(model, tweet.tokens).shape[0] == len(tweet.tokens)
 
     def test_enhanced_with_zero_sentence_block_equals_joint(self, sub_vocab, tweet):
-        plain = JointModel(SMALL, seed=7, enhanced=False, subword_vocab=sub_vocab)
-        wide = JointModel(SMALL, seed=8, enhanced=True, subword_vocab=sub_vocab)
+        plain = build_model("joint", SMALL, seed=7, subword_vocab=sub_vocab)
+        wide = build_model("enhanced_joint", SMALL, seed=8, subword_vocab=sub_vocab)
         # share every parameter; zero the sentence half of the wide slot head
         for name, tensor in plain.store.params.items():
             if name != "slot.w":
@@ -167,41 +268,22 @@ class TestJoint:
         assert np.allclose(cls_a.data, cls_b.data, atol=1e-12, rtol=0)
         assert np.allclose(slot_a.data, slot_b.data, atol=1e-12, rtol=0)
 
-    def test_joint_loss_hand_case(self):
-        from traffictag.models import JointOutput
-
-        class_probs = np.array([1 - np.exp(-0.5), np.exp(-0.5)])  # -log p = 0.5
-        tag_probs = np.array([
-            [np.exp(-0.2)] + [(1 - np.exp(-0.2)) / 8] * 8,
-            [np.exp(-0.3)] + [(1 - np.exp(-0.3)) / 8] * 8,
-        ])
-        out = JointOutput(class_probs, tag_probs)
-        total = joint_loss(out, TRAFFIC, ["O", "O"])
-        assert total == pytest.approx(0.5 + 0.2 + 0.3, abs=1e-12)
-
-    def test_joint_loss_zero_when_certain(self):
-        from traffictag.models import JointOutput
-
-        out = JointOutput(
-            np.array([0.0, 1.0]),
-            np.eye(bio.NUM_TAGS)[[0, 3]],
-        )
-        assert joint_loss(out, TRAFFIC, ["O", "B-where"]) == 0.0
-
     def test_loss_paths_agree(self, sub_vocab, tweet):
-        model = JointModel(SMALL, seed=9, enhanced=True, subword_vocab=sub_vocab)
+        model = build_model("enhanced_joint", SMALL, seed=9, subword_vocab=sub_vocab)
         tensor_loss = model.loss(tweet).item()
-        out = model.forward(tweet.tokens)
+        # factorized joint NLL from the probabilities: -log p(class) - sum_i log p(tag_i)
+        cls_p, tag_p = class_probs(model, tweet.tokens), tag_probs(model, tweet.tokens)
         gold_tags = bio.encode_spans(len(tweet.tokens), tweet.spans)
-        assert tensor_loss == pytest.approx(
-            joint_loss(out, tweet.class_label, gold_tags), abs=1e-9
+        expected = -np.log(cls_p[CLASS_LABELS.index(tweet.class_label)]) - sum(
+            np.log(tag_p[i, bio.TAG_INDEX[tag]]) for i, tag in enumerate(gold_tags)
         )
+        assert tensor_loss == pytest.approx(expected, abs=1e-9)
 
     def test_encoder_gradient_is_sum_of_head_gradients(self, sub_vocab, tweet):
         from traffictag.layers import softmax_xent, softmax_xent_rows
         from traffictag.models import _gold_class, _gold_tag_ids
 
-        model = JointModel(SMALL, seed=10, enhanced=False, subword_vocab=sub_vocab)
+        model = build_model("joint", SMALL, seed=10, subword_vocab=sub_vocab)
         emb = model.store["enc.emb"]
 
         def run(which):
@@ -223,7 +305,7 @@ class TestJoint:
 
 class TestPredictGlue:
     def test_suppression_flag(self, word_vocab, sub_vocab, tweet):
-        model = JointModel(SMALL, seed=11, enhanced=False, subword_vocab=sub_vocab)
+        model = build_model("joint", SMALL, seed=11, subword_vocab=sub_vocab)
         model.store["cls.w"].data[...] = 0.0  # force uniform -> non_traffic tie-break
         model.store["cls.b"].data[...] = 0.0
         kept = predict(model, tweet, suppress_non_traffic_spans=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestTraining:
     def test_divergence_detected(self, splits, monkeypatch):
         train_c, dev_c, _ = splits
         monkeypatch.setattr(
-            models.CnnClassifier, "loss",
+            models.Model, "loss",
             lambda self, tweet, train=False, rng=None: Tensor(np.nan),
         )
         with pytest.raises(TrainingDiverged):
@@ -136,8 +137,7 @@ class TestTraining:
 
             return Tensor(1.0, params, bw)
 
-        cls = models.LstmTagger if arch == "lstm_tagger" else models.CnnClassifier
-        monkeypatch.setattr(cls, "loss", poisoned_loss)
+        monkeypatch.setattr(models.Model, "loss", poisoned_loss)
         with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{poisoned[1]}$"):
             train_model(tiny_config(arch), train_c, dev_c)
 
@@ -272,6 +272,21 @@ class TestCli:
         ):
             assert main(argv + ["--constrained-decode"]) == 1
             assert arch in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda p: {**p, "word_vocab": None}, "lstm_crf on words needs a word vocabulary"),
+        (lambda p: {k: v for k, v in p.items() if k not in ("architecture", "params")},
+         r"lacks the fields \['architecture', 'params'\]"),
+        (lambda p: [p], "JSON list, not an object"),
+    ])
+    def test_predict_rejects_broken_checkpoint(self, tmp_path, capsys, damage, message):
+        checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
+        with open(checkpoint, encoding="utf-8") as f:
+            payload = json.load(f)
+        with open(checkpoint, "w", encoding="utf-8") as f:
+            json.dump(damage(payload), f)
+        assert main(["predict", "--checkpoint", checkpoint, "--input", raw]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_constrained_decode_applied_to_crf(self, tmp_path):
         checkpoint, corpus_path, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
