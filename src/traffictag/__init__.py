@@ -16,9 +16,7 @@ from .corpus import (
     GeneratorConfig,
     SlotSpan,
     Tweet,
-    corpus_stats,
     generate_synthetic,
-    keyword_filter,
     load_corpus,
     normalize_tweet,
     save_corpus,
@@ -35,9 +33,7 @@ __all__ = [
     "GeneratorConfig",
     "SlotSpan",
     "Tweet",
-    "corpus_stats",
     "generate_synthetic",
-    "keyword_filter",
     "load_corpus",
     "normalize_tweet",
     "save_corpus",

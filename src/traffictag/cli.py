@@ -165,9 +165,10 @@ def _load_model(path, constrained_decode: bool):
     """Load a checkpoint; BIO-constrained decoding exists only for the CRF."""
     model = load_checkpoint(path)
     if constrained_decode:
-        if model.architecture != "lstm_crf":
+        if model.tag_head != "crf":
             raise _UsageError(
-                f"--constrained-decode needs an lstm_crf checkpoint, got {model.architecture}"
+                f"--constrained-decode needs a checkpoint with a CRF tag head, "
+                f"got {model.architecture}"
             )
         model.config = dataclasses.replace(model.config, constrained_decode=True)
     return model

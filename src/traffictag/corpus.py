@@ -1,4 +1,4 @@
-"""Corpus model for traffic tweets: normalization, filtering, splits, synthetic data, file IO.
+"""Corpus model for traffic tweets: normalization, splits, synthetic data, file IO.
 
 A corpus is an immutable collection of tweets. Each tweet carries its raw
 text, a normalized token sequence, a binary class label (traffic or
@@ -25,7 +25,6 @@ import json
 import random
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -128,15 +127,8 @@ class Corpus:
         return iter(self.tweets)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    class_counts: dict[str, int]
-    slot_counts: dict[str, int]
-    length_histogram: dict[int, int]
-
-
 # ---------------------------------------------------------------------------
-# Normalization and filtering
+# Normalization and splitting
 # ---------------------------------------------------------------------------
 
 # scheme://anything or www.anything, dropped before tokenization
@@ -163,15 +155,6 @@ def normalize_tweet(raw_text: str) -> list[str]:
     return tokens
 
 
-def keyword_filter(corpus: Corpus, keywords: set[str]) -> Corpus:
-    """Sub-corpus of tweets containing at least one keyword as a whole token."""
-    if not keywords:
-        raise CorpusError("keyword set is empty")
-    wanted = {k.lower() for k in keywords}
-    kept = tuple(t for t in corpus if any(tok in wanted for tok in t.tokens))
-    return Corpus(name=f"{corpus.name}/filtered", tweets=kept, provenance=corpus.provenance)
-
-
 def split_corpus(corpus: Corpus, seed: int) -> tuple[Corpus, Corpus, Corpus]:
     """Deterministic seeded shuffle, then a 60/20/20 train/dev/test partition.
 
@@ -193,24 +176,6 @@ def split_corpus(corpus: Corpus, seed: int) -> tuple[Corpus, Corpus, Corpus]:
         )
         for label, idx in zip(names, parts)
     )
-
-
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Per-class tweet counts, per-type span counts, and a token-length histogram.
-
-    The jsonl/conll formats mirror the published Belgian reference corpus;
-    once that corpus is available, loading it here must report 5,386 traffic
-    and 5,237 non-traffic tweets, with 5,305 "where" spans.
-    """
-    class_counts = {label: 0 for label in CLASS_LABELS}
-    slot_counts = {slot: 0 for slot in SLOT_TYPES}
-    histogram: Counter[int] = Counter()
-    for tweet in corpus:
-        class_counts[tweet.class_label] += 1
-        histogram[len(tweet.tokens)] += 1
-        for span in tweet.spans:
-            slot_counts[span.slot_type] += 1
-    return CorpusStats(class_counts, slot_counts, dict(sorted(histogram.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +395,18 @@ def save_corpus(corpus: Corpus, path: str | Path, fmt: str | None = None) -> Non
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def load_corpus(path: str | Path, fmt: str | None = None, strict: bool = False) -> Corpus:
+def load_corpus(path: str | Path, fmt: str | None = None) -> Corpus:
     """Load a corpus file.
 
-    In strict mode a conll tag sequence that breaks the BIO rule (an I- tag
-    without a same-type B-/I- predecessor) is an error; the default lenient
-    mode repairs it by starting a new span there.
+    A conll tag sequence that breaks the BIO rule (an I- tag without a
+    same-type B-/I- predecessor) is a CorpusFormatError at that token's line.
     """
     path = Path(path)
     fmt = _infer_format(path, fmt)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
     lines = path.read_text(encoding="utf-8").split("\n")
-    tweets = _parse_jsonl(lines) if fmt == "jsonl" else _parse_conll(lines, strict)
+    tweets = _parse_jsonl(lines) if fmt == "jsonl" else _parse_conll(lines)
     return Corpus(name=path.stem, tweets=tuple(tweets), provenance="loaded")
 
 
@@ -502,7 +466,7 @@ def _tweet_to_conll_block(tweet: Tweet) -> str:
     return f"# label={tweet.class_label}\n{rows}\n"
 
 
-def _parse_conll(lines: list[str], strict: bool) -> list[Tweet]:
+def _parse_conll(lines: list[str]) -> list[Tweet]:
     from . import bio
 
     tweets: list[Tweet] = []
@@ -511,21 +475,18 @@ def _parse_conll(lines: list[str], strict: bool) -> list[Tweet]:
     label: str | None = None
     header_line = 0
 
-    def flush(end_line: int) -> None:
+    def flush() -> None:
         nonlocal tokens, tags, label
-        if label is None and not tokens:
+        if label is None:  # token lines cannot precede a header, so nothing is pending
             return
-        if label is None:
-            raise CorpusFormatError("sentence without a '# label=' header", header_line)
         if not tokens:
             raise CorpusFormatError("sentence header without tokens", header_line)
-        if strict:
-            violations = bio.validate(tags)
-            if violations:
-                idx, desc = violations[0]
-                raise CorpusFormatError(
-                    f"invalid tag sequence ({desc} at token {idx})", header_line + 1 + idx
-                )
+        violations = bio.validate(tags)
+        if violations:
+            idx, desc = violations[0]
+            raise CorpusFormatError(
+                f"invalid tag sequence ({desc} at token {idx})", header_line + 1 + idx
+            )
         spans = tuple(bio.decode_tags(tags))
         try:
             tweets.append(
@@ -543,11 +504,11 @@ def _parse_conll(lines: list[str], strict: bool) -> list[Tweet]:
 
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
-            flush(lineno)
+            flush()
             continue
         if line.startswith("# label="):
             if label is not None or tokens:
-                flush(lineno)
+                flush()
             label = line[len("# label=") :].strip()
             header_line = lineno
             continue
@@ -563,5 +524,5 @@ def _parse_conll(lines: list[str], strict: bool) -> list[Tweet]:
             raise CorpusFormatError("token line before any '# label=' header", lineno)
         tokens.append(token)
         tags.append(tag)
-    flush(len(lines) + 1)
+    flush()
     return tweets

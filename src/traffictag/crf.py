@@ -15,6 +15,7 @@ Sutton & McCallum, arXiv:1011.4088, section 4.1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,32 +132,28 @@ def nll(emissions: Tensor, crf: CrfModel, tags: Sequence[int]) -> Tensor:
     return _crf_op(emissions, crf, gold)
 
 
-def bio_transition_mask(num_tags: int) -> np.ndarray:
-    """Additive mask (0 or NEG_INF) forbidding I- tags without a same-type
-    B-/I- predecessor, for the 9-tag BIO inventory."""
+@functools.cache  # every constrained decode asks for the masks again
+def _bio_penalty(num_tags: int, *prefix: str) -> tuple[float, ...]:
+    """NEG_INF for each tag that ``bio.validate`` rejects right after
+    ``prefix``, else 0, over the 9-tag BIO inventory."""
     if num_tags != bio.NUM_TAGS:
         raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
-    mask = np.zeros((num_tags, num_tags))
-    for j, tag in enumerate(bio.TAGS):
-        kind, slot = bio.split_tag(tag)
-        if kind != "I":
-            continue
-        for i, prev in enumerate(bio.TAGS):
-            prev_kind, prev_slot = bio.split_tag(prev)
-            if prev_kind == bio.OUTSIDE or prev_slot != slot:
-                mask[i, j] = NEG_INF
-    return mask
+    last = len(prefix)
+    return tuple(
+        NEG_INF if any(i == last for i, _ in bio.validate((*prefix, tag))) else 0.0
+        for tag in bio.TAGS
+    )
+
+
+def bio_transition_mask(num_tags: int) -> np.ndarray:
+    """Additive mask (0 or NEG_INF) forbidding I- tags without a same-type
+    B-/I- predecessor: row i holds the tags that may not follow tag i."""
+    return np.array([_bio_penalty(num_tags, prev) for prev in bio.TAGS])
 
 
 def bio_start_mask(num_tags: int) -> np.ndarray:
     """Additive start mask forbidding an initial I- tag."""
-    if num_tags != bio.NUM_TAGS:
-        raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
-    mask = np.zeros(num_tags)
-    for j, tag in enumerate(bio.TAGS):
-        if bio.split_tag(tag)[0] == "I":
-            mask[j] = NEG_INF
-    return mask
+    return np.array(_bio_penalty(num_tags))
 
 
 def viterbi(

@@ -17,15 +17,6 @@ from typing import Sequence
 
 from .corpus import SLOT_TYPES, TRAFFIC, SlotSpan
 
-SpanLike = SlotSpan | tuple[str, int, int]
-
-
-def _span_key(span: SpanLike) -> tuple[str, int, int]:
-    if isinstance(span, SlotSpan):
-        return span.key()
-    slot_type, start, end = span
-    return (str(slot_type), int(start), int(end))
-
 
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
@@ -39,33 +30,20 @@ def _prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return precision, recall, _f1(precision, recall)
 
 
-def classification_f1(
-    preds: Sequence[str],
-    golds: Sequence[str],
-    positive_class: str = TRAFFIC,
-    macro: bool = False,
-) -> tuple[float, float, float]:
-    """Binary precision/recall/F1 with ``positive_class`` as positive.
-
-    With ``macro`` set, returns the unweighted mean of the per-class scores
-    (each class taken as positive in turn) instead.
-    """
+def classification_f1(preds: Sequence[str], golds: Sequence[str]) -> tuple[float, float, float]:
+    """Binary precision/recall/F1 with the traffic class as positive."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
     if not preds:
         raise ValueError("empty prediction list")
-    if macro:
-        classes = sorted(set(golds) | set(preds))
-        scores = [classification_f1(preds, golds, positive_class=c) for c in classes]
-        return tuple(sum(s[i] for s in scores) / len(scores) for i in range(3))
-    tp = sum(1 for p, g in zip(preds, golds) if p == positive_class and g == positive_class)
-    n_pred = sum(1 for p in preds if p == positive_class)
-    n_gold = sum(1 for g in golds if g == positive_class)
+    tp = sum(1 for p, g in zip(preds, golds) if p == TRAFFIC and g == TRAFFIC)
+    n_pred = sum(1 for p in preds if p == TRAFFIC)
+    n_gold = sum(1 for g in golds if g == TRAFFIC)
     return _prf(tp, n_pred, n_gold)
 
 
 def _count_span_matches(
-    pred_spans: Sequence[Sequence[SpanLike]], gold_spans: Sequence[Sequence[SpanLike]]
+    pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
 ) -> tuple[int, int, int]:
     if len(pred_spans) != len(gold_spans):
         raise ValueError(
@@ -73,8 +51,8 @@ def _count_span_matches(
         )
     tp = n_pred = n_gold = 0
     for preds, golds in zip(pred_spans, gold_spans):
-        pred_keys = Counter(_span_key(s) for s in preds)
-        gold_keys = Counter(_span_key(s) for s in golds)
+        pred_keys = Counter(s.key() for s in preds)
+        gold_keys = Counter(s.key() for s in golds)
         tp += sum((pred_keys & gold_keys).values())
         n_pred += sum(pred_keys.values())
         n_gold += sum(gold_keys.values())
@@ -82,20 +60,20 @@ def _count_span_matches(
 
 
 def span_f1(
-    pred_spans: Sequence[Sequence[SpanLike]], gold_spans: Sequence[Sequence[SpanLike]]
+    pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
 ) -> tuple[float, float, float]:
     """Micro-averaged exact-match span precision/recall/F1 over sentences."""
     return _prf(*_count_span_matches(pred_spans, gold_spans))
 
 
 def span_f1_per_type(
-    pred_spans: Sequence[Sequence[SpanLike]], gold_spans: Sequence[Sequence[SpanLike]]
+    pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
 ) -> dict[str, dict[str, float]]:
     """Per-slot-type breakdown of the span scores."""
     out = {}
     for slot in SLOT_TYPES:
-        p = [[s for s in sent if _span_key(s)[0] == slot] for sent in pred_spans]
-        g = [[s for s in sent if _span_key(s)[0] == slot] for sent in gold_spans]
+        p = [[s for s in sent if s.slot_type == slot] for sent in pred_spans]
+        g = [[s for s in sent if s.slot_type == slot] for sent in gold_spans]
         precision, recall, f1 = span_f1(p, g)
         out[slot] = {"precision": precision, "recall": recall, "f1": f1}
     return out
@@ -103,9 +81,9 @@ def span_f1_per_type(
 
 def sentence_accuracy(
     pred_classes: Sequence[str],
-    pred_spans: Sequence[Sequence[SpanLike]],
+    pred_spans: Sequence[Sequence[SlotSpan]],
     gold_classes: Sequence[str],
-    gold_spans: Sequence[Sequence[SpanLike]],
+    gold_spans: Sequence[Sequence[SlotSpan]],
 ) -> float:
     """Fraction of sentences whose class and exact span set are both correct."""
     lengths = {len(pred_classes), len(pred_spans), len(gold_classes), len(gold_spans)}
@@ -115,7 +93,7 @@ def sentence_accuracy(
         raise ValueError("empty evaluation set")
     correct = 0
     for pc, ps, gc, gs in zip(pred_classes, pred_spans, gold_classes, gold_spans):
-        if pc == gc and {_span_key(s) for s in ps} == {_span_key(s) for s in gs}:
+        if pc == gc and {s.key() for s in ps} == {s.key() for s in gs}:
             correct += 1
     return correct / len(pred_classes)
 

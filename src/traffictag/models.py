@@ -34,6 +34,7 @@ token count. The other presets read words.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -103,6 +104,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"model config is a JSON {type(data).__name__}, not an object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config keys {unknown}")
         kwargs = dict(data)
         if "cnn_widths" in kwargs:
             kwargs["cnn_widths"] = tuple(kwargs["cnn_widths"])
@@ -123,14 +129,12 @@ class WordVocab:
         return len(self.itos)
 
     @classmethod
-    def build(cls, corpus: Corpus, min_freq: int = 1) -> "WordVocab":
-        from collections import Counter
-
+    def build(cls, corpus: Corpus) -> "WordVocab":
         counts: Counter[str] = Counter()
         for tweet in corpus:
             counts.update(tweet.tokens)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return cls([w for w, c in ranked if c >= min_freq])
+        return cls([w for w, _ in ranked])
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         unk = self.stoi[self.UNK]
@@ -416,12 +420,19 @@ def load_checkpoint(path: str | Path) -> Model:
         else None
     )
     model = build_model(payload["architecture"], config, payload["seed"], word_vocab, sub_vocab)
-    missing = [name for name in model.store.names() if name not in payload["params"]]
+    params = payload["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"checkpoint params is a JSON {type(params).__name__}, not an object")
+    missing = [name for name in model.store.names() if name not in params]
     if missing:
         raise ValueError(f"checkpoint lacks {payload['architecture']} parameters {missing}")
-    for name, entry in payload["params"].items():
+    for name, entry in params.items():
         if name not in model.store:
             raise ValueError(f"checkpoint parameter {name!r} unknown to {payload['architecture']}")
+        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+            raise ValueError(
+                f"checkpoint parameter {name!r} is not an object of exactly shape and values"
+            )
         tensor = model.store[name]
         shape = tuple(entry["shape"])
         if shape != tensor.data.shape:

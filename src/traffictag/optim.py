@@ -92,13 +92,12 @@ def sgd_step(store: ParamStore, lr: float) -> None:
             t.data -= lr * t.grad
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr: float) -> None:
     """Adam with bias correction; missing gradients count as zero."""
     store.adam_t += 1
     t = store.adam_t
@@ -106,10 +105,10 @@ def adam_step(
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = store.adam_m.setdefault(name, np.zeros_like(p.data))
         v = store.adam_v.setdefault(name, np.zeros_like(p.data))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, CorpusError
@@ -52,14 +51,6 @@ class SubwordVocab:
 
     def piece_id(self, piece: str) -> int:
         return self._index.get(piece, self._index[UNK])
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.pieces) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SubwordVocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines))
 
 
 def build_vocab(corpus: Corpus, max_size: int) -> SubwordVocab:

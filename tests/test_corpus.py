@@ -1,4 +1,4 @@
-"""Corpus model: normalization, filtering, splitting, generation, and file IO."""
+"""Corpus model: normalization, splitting, generation, and file IO."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 import pytest
 
 from traffictag import bio
+from traffictag.cli import main
 from traffictag.corpus import (
     NON_TRAFFIC,
     SLOT_TYPES,
@@ -19,14 +20,13 @@ from traffictag.corpus import (
     SlotSpan,
     Tweet,
     build_slot_pools,
-    corpus_stats,
     generate_synthetic,
-    keyword_filter,
     load_corpus,
     normalize_tweet,
     save_corpus,
     split_corpus,
 )
+from traffictag.models import ModelConfig, WordVocab, build_model, save_checkpoint
 
 
 def make_tweet(tid, tokens, label=TRAFFIC, spans=()):
@@ -99,37 +99,6 @@ class TestTweetInvariants:
             Corpus("c", (t, t))
 
 
-class TestKeywordFilter:
-    def corpus(self):
-        return Corpus("c", (
-            make_tweet("1", ["file", "op", "e40"]),
-            make_tweet("2", ["mooi", "weer"], NON_TRAFFIC),
-            make_tweet("3", ["profiel", "foto"], NON_TRAFFIC),
-        ))
-
-    def test_membership(self):
-        out = keyword_filter(self.corpus(), {"file"})
-        assert [t.id for t in out] == ["1"]
-
-    def test_no_match(self):
-        assert len(keyword_filter(self.corpus(), {"trein"})) == 0
-
-    def test_whole_token_only(self):
-        # "file" must not match inside "profiel"
-        out = keyword_filter(self.corpus(), {"fiel"})
-        assert len(out) == 0
-
-    def test_monotone_in_keywords(self):
-        small = keyword_filter(self.corpus(), {"file"})
-        large = keyword_filter(self.corpus(), {"file", "weer"})
-        assert {t.id for t in small} <= {t.id for t in large}
-        assert {t.id for t in large} <= {t.id for t in self.corpus()}
-
-    def test_empty_keywords_error(self):
-        with pytest.raises(CorpusError):
-            keyword_filter(self.corpus(), set())
-
-
 class TestSplit:
     def test_100_splits_60_20_20(self):
         corpus = generate_synthetic(GeneratorConfig(size=100), seed=7)
@@ -168,9 +137,8 @@ class TestSplit:
 class TestGenerator:
     def test_exact_traffic_count(self):
         corpus = generate_synthetic(GeneratorConfig(size=1000, traffic_fraction=0.5), seed=1)
-        stats = corpus_stats(corpus)
         assert len(corpus) == 1000
-        assert stats.class_counts[TRAFFIC] == 500
+        assert sum(1 for t in corpus if t.class_label == TRAFFIC) == 500
 
     def test_deterministic_and_byte_identical(self, tmp_path):
         cfg = GeneratorConfig(size=120)
@@ -219,26 +187,6 @@ class TestGenerator:
 
         hb, he = heads(bru), heads(be)
         assert len(hb & he) / len(hb) == pytest.approx(0.7, abs=0.02)
-
-    def test_stats_recount(self):
-        corpus = generate_synthetic(GeneratorConfig(size=400, traffic_fraction=0.6), seed=9)
-        stats = corpus_stats(corpus)
-        # independent recount by plain iteration
-        assert stats.class_counts[TRAFFIC] == sum(
-            1 for t in corpus if t.class_label == TRAFFIC
-        )
-        assert sum(stats.class_counts.values()) == len(corpus)
-        for slot in SLOT_TYPES:
-            assert stats.slot_counts[slot] == sum(
-                1 for t in corpus for s in t.spans if s.slot_type == slot
-            )
-        assert sum(stats.length_histogram.values()) == len(corpus)
-
-    def test_empty_corpus_stats(self):
-        stats = corpus_stats(Corpus("empty"))
-        assert all(v == 0 for v in stats.class_counts.values())
-        assert all(v == 0 for v in stats.slot_counts.values())
-        assert stats.length_histogram == {}
 
 
 class TestIO:
@@ -289,15 +237,25 @@ class TestIO:
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
 
-    def test_strict_vs_lenient_conll(self, tmp_path):
+    @pytest.mark.parametrize("rows,line,fault", [
+        (["file\tO", "vanmorgen\tI-when"], 6, "stray-I at token 1"),
+        (["file\tB-what", "e40\tB-where", "centrum\tI-what"], 7, "type-mismatch-I at token 2"),
+    ], ids=["stray-I", "type-mismatch-I"])
+    def test_conll_bio_violation_rejected(self, tmp_path, capsys, rows, line, fault):
+        # a valid sentence first, so the line number is not the header's
+        text = "# label=traffic\nfile\tB-what\n\n# label=traffic\n" + "\n".join(rows) + "\n\n"
         path = tmp_path / "c.conll"
-        path.write_text(
-            "# label=traffic\nfile\tO\nvanmorgen\tI-when\n\n", encoding="utf-8"
-        )
-        lenient = load_corpus(path)
-        assert lenient.tweets[0].spans == (SlotSpan("when", 1, 2),)
-        with pytest.raises(CorpusFormatError):
-            load_corpus(path, strict=True)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=fault) as err:
+            load_corpus(path)
+        assert err.value.line == line
+        assert text.split("\n")[line - 1] == rows[-1]
+        model = build_model("cnn", ModelConfig(embed_dim=4, cnn_filters=2), 1,
+                            word_vocab=WordVocab(["file"]))
+        checkpoint = tmp_path / "cnn.json"
+        save_checkpoint(model, checkpoint)
+        assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == 2
+        assert f"line {line}: invalid tag sequence ({fault})" in capsys.readouterr().err
 
     def test_conll_missing_tab(self, tmp_path):
         path = tmp_path / "c.conll"

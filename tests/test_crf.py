@@ -12,6 +12,7 @@ import pytest
 from traffictag import bio
 from traffictag.autodiff import Tensor, backward, grad_check
 from traffictag.crf import (
+    NEG_INF,
     CrfModel,
     bio_start_mask,
     bio_transition_mask,
@@ -245,6 +246,10 @@ class TestConstrainedDecode:
         start = bio_start_mask(bio.NUM_TAGS)
         assert start[idx["I-what"]] < 0
         assert start[idx["B-what"]] == 0
+        # each of the 4 I- tags may follow only its own B- and I-: 4 * 7 bans
+        assert set(np.unique(mask)) == set(np.unique(start)) == {0.0, NEG_INF}
+        assert int((mask == NEG_INF).sum()) == 28
+        assert int((start == NEG_INF).sum()) == 4
 
     def test_constrained_paths_always_valid(self):
         rng = np.random.default_rng(5)

@@ -43,17 +43,6 @@ class TestClassificationF1:
         with pytest.raises(ValueError):
             classification_f1([], [])
 
-    def test_macro_averages_both_classes(self):
-        preds, golds = [T, N, T, N], [T, T, N, N]
-        # symmetric confusion: each class scores P = R = F1 = 0.5
-        assert classification_f1(preds, golds, macro=True) == (0.5, 0.5, 0.5)
-        golds2 = [T, T, T, N]
-        per_class = [
-            classification_f1(preds, golds2, positive_class=c) for c in (N, T)
-        ]
-        expected = tuple(sum(s[i] for s in per_class) / 2 for i in range(3))
-        assert classification_f1(preds, golds2, macro=True) == pytest.approx(expected)
-
 
 class TestSpanF1:
     def test_hand_case(self):
@@ -76,9 +65,6 @@ class TestSpanF1:
         gold = [list(a)]
         shuffled = [list(reversed(a))]
         assert span_f1(shuffled, gold) == (1.0, 1.0, 1.0)
-
-    def test_tuple_spans_accepted(self):
-        assert span_f1([[("where", 0, 2)]], [[SlotSpan("where", 0, 2)]]) == (1.0, 1.0, 1.0)
 
     def test_per_type_breakdown(self):
         gold = [[SlotSpan("where", 0, 1), SlotSpan("when", 2, 3)]]

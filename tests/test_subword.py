@@ -121,14 +121,6 @@ class TestAlign:
 
 
 class TestSerialization:
-    def test_save_load_round_trip(self, tmp_path):
-        corpus = generate_synthetic(GeneratorConfig(size=40), seed=3)
-        vocab = build_vocab(corpus, 300)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        assert SubwordVocab.load(path).pieces == vocab.pieces
-        assert path.read_text(encoding="utf-8").startswith("[PAD]\n[UNK]\n[CLS]\n[SEP]\n")
-
     def test_encode_maps_unknown_to_unk_id(self):
         vocab = vocab_from_pieces(*"ab", *(f"##{c}" for c in "ab"))
         ids, first = encode(["ab", "zz"], vocab)

@@ -278,6 +278,14 @@ class TestCli:
         (lambda p: {k: v for k, v in p.items() if k not in ("architecture", "params")},
          r"lacks the fields \['architecture', 'params'\]"),
         (lambda p: [p], "JSON list, not an object"),
+        (lambda p: {**p, "model_config": {**p["model_config"], "bogus": 1}},
+         r"unknown model config keys \['bogus'\]"),
+        (lambda p: {**p, "model_config": [p["model_config"]]},
+         "model config is a JSON list, not an object"),
+        (lambda p: {**p, "params": {**p["params"], "emb": [p["params"]["emb"]]}},
+         "parameter 'emb' is not an object of exactly shape and values"),
+        (lambda p: {**p, "params": {**p["params"], "emb": {**p["params"]["emb"], "x": 0}}},
+         "'emb' is not an object of exactly shape and values"),
     ])
     def test_predict_rejects_broken_checkpoint(self, tmp_path, capsys, damage, message):
         checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
