@@ -22,16 +22,11 @@ Array = np.ndarray
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(
-        self,
-        data,
-        parents: tuple["Tensor", ...] = (),
-        backward: Callable[[Array], None] | None = None,
-    ):
+    def __init__(self, data, parents: tuple["Tensor", ...] = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = parents
-        self._backward = backward
+        self._backward: Callable[[Array], None] | None = None  # set by the op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -41,33 +36,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
-
-    # arithmetic sugar; scalars and arrays are treated as constants
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    def __rmul__(self, other):
-        return mul_const(self, other)
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _accum(t: Tensor, g: Array) -> None:
@@ -101,48 +71,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    out = Tensor(a.data + np.asarray(c, dtype=np.float64), (a,))
-    out._backward = lambda g: _accum(a, _unbroadcast(g, a.shape))
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b))
-
-    def bw(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    out._backward = bw
-    return out
-
-
-def mul_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
+def mul_const(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, (a,))
-    out._backward = lambda g: _accum(a, _unbroadcast(g * c, a.shape))
+    out._backward = lambda g: _accum(a, g * c)
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
+    """A row vector or a matrix of rows times a matrix."""
+    if a.ndim not in (1, 2) or b.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw(g: Array) -> None:
-        if a.ndim == 2 and b.ndim == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-        else:  # 1D @ 1D inner product
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+        _accum(a, g @ b.data.T)
+        _accum(b, np.outer(a.data, g) if a.ndim == 1 else a.data.T @ g)
 
     out._backward = bw
     return out
@@ -158,18 +101,6 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0), (x,))
     out._backward = lambda g: _accum(x, g * mask)
-    return out
-
-
-def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,))
-
-    def bw(g: Array) -> None:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape).copy())
-
-    out._backward = bw
     return out
 
 
@@ -189,21 +120,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def getitem(x: Tensor, idx) -> Tensor:
-    """Basic (non-duplicating) indexing: ints, slices, and tuples thereof."""
-    out = Tensor(x.data[idx], (x,))
+def take_rows(x: Tensor, indices: Sequence[int] | int) -> Tensor:
+    """Gather rows of a 2D tensor; duplicate indices accumulate correctly.
 
-    def bw(g: Array) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[idx] += g
-
-    out._backward = bw
-    return out
-
-
-def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a 2D tensor; duplicate indices accumulate correctly."""
+    A single int index gives that one row as a vector."""
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(x.data[idx], (x,))
 

@@ -108,16 +108,18 @@ def _load_experiment_config(args) -> ExperimentConfig:
     if not path.exists():
         raise CorpusError(f"config file not found: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"config is a JSON {type(data).__name__}, not an object")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.out is not None:
         data["out_dir"] = args.out
     if args.corpus is not None:
         data["corpus"] = args.corpus
-    try:
-        return ExperimentConfig.from_flat_dict(data)
-    except TypeError as exc:  # missing mandatory keys such as seed
-        raise _UsageError(f"incomplete config: {exc}") from exc
+    missing = [key for key in ("architecture", "seed") if key not in data]
+    if missing:
+        raise _UsageError(f"incomplete config: missing {missing}")
+    return ExperimentConfig.from_flat_dict(data)
 
 
 def cmd_train(args) -> int:

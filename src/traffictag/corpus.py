@@ -52,6 +52,15 @@ class CorpusFormatError(CorpusError):
         self.line = line
 
 
+def check_number(name: str, value, integer: bool = False, minimum: float | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an int (with
+    ``integer``) or else an int or float, never a bool, and >= ``minimum``."""
+    kinds, what = (int, "an int") if integer else ((int, float), "a number")
+    bound = "" if minimum is None else f" >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, kinds) or (bound and not value >= minimum):
+        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SlotSpan:
     """Half-open token span [start, end) of one slot type."""
@@ -265,6 +274,10 @@ class GeneratorConfig:
     name: str | None = None
 
     def __post_init__(self):
+        check_number("size", self.size, integer=True)
+        check_number("pool_size", self.pool_size, integer=True)
+        check_number("traffic_fraction", self.traffic_fraction)
+        check_number("shared_vocab_fraction", self.shared_vocab_fraction)
         if self.size < 1:
             raise CorpusError(f"corpus size must be >= 1, got {self.size}")
         if not 0.0 <= self.traffic_fraction <= 1.0:
@@ -273,7 +286,7 @@ class GeneratorConfig:
             raise CorpusError(
                 f"shared_vocab_fraction outside [0, 1]: {self.shared_vocab_fraction}"
             )
-        if self.region not in _REGION_SLOT_WORDS:
+        if not isinstance(self.region, str) or self.region not in _REGION_SLOT_WORDS:
             raise CorpusError(f"unknown region {self.region!r} (expected BRU or BE)")
         if self.pool_size < 1:
             raise CorpusError(f"pool_size must be >= 1, got {self.pool_size}")

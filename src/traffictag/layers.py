@@ -12,14 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Array, Tensor, _accum, _sigmoid_nd, concat, getitem
+from .autodiff import Array, Tensor, _accum, _sigmoid_nd, add, concat, matmul, take_rows
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a row vector or a matrix of rows."""
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ValueError(f"affine shape mismatch: {x.shape} @ {w.shape}")
-    return (x @ w) + b
+    return add(matmul(x, w), b)
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -29,15 +27,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ValueError(
             f"embedding ids out of range [0, {table.data.shape[0]}): {idx.min()}..{idx.max()}"
         )
-    out = Tensor(table.data[idx], (table,))
-
-    def bw(g: Array) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
-
-    out._backward = bw
-    return out
+    return take_rows(table, idx)
 
 
 def conv_window(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -116,54 +106,37 @@ def softmax_probs(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Array]:
-    """Stabilized softmax cross-entropy for one logit vector.
+def softmax_xent(logits: Tensor, gold: int | Sequence[int]) -> tuple[Tensor, Array]:
+    """Stabilized softmax cross-entropy over the last axis, summed.
 
-    Returns (scalar loss tensor, detached probability vector).
+    ``logits`` is one logit vector with one gold index, or [n, classes] with
+    one gold index per row. Returns (scalar loss tensor, detached
+    probabilities shaped like ``logits``).
     """
-    (num_classes,) = logits.data.shape
-    if not 0 <= gold < num_classes:
-        raise ValueError(f"gold index {gold} out of range [0, {num_classes})")
-    z = logits.data
-    m = z.max()
-    e = np.exp(z - m)
-    total = e.sum()
-    probs = e / total
-    loss = Tensor(np.log(total) + m - z[gold], (logits,))
-
-    def bw(g: Array) -> None:
-        delta = probs.copy()
-        delta[gold] -= 1.0
-        _accum(logits, g * delta)
-
-    loss._backward = bw
-    return loss, probs
-
-
-def softmax_xent_rows(logits: Tensor, golds: Sequence[int]) -> tuple[Tensor, Array]:
-    """Summed softmax cross-entropy over the rows of [n, classes]."""
-    n, num_classes = logits.data.shape
-    gold_idx = np.asarray(golds, dtype=np.intp)
-    if gold_idx.shape != (n,):
-        raise ValueError(f"expected {n} gold indices, got {gold_idx.shape}")
+    num_classes = logits.data.shape[-1]
+    z = logits.data.reshape(-1, num_classes)
+    gold_idx = np.asarray(gold, dtype=np.intp)
+    if gold_idx.shape != logits.data.shape[:-1]:
+        raise ValueError(f"expected gold indices of shape {logits.data.shape[:-1]}, "
+                         f"got {gold_idx.shape}")
+    gold_idx = gold_idx.reshape(-1)
     if gold_idx.size and (gold_idx.min() < 0 or gold_idx.max() >= num_classes):
         raise ValueError(f"gold index out of range [0, {num_classes})")
-    z = logits.data
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     totals = e.sum(axis=1, keepdims=True)
     probs = e / totals
-    rows = np.arange(n)
+    rows = np.arange(z.shape[0])
     losses = np.log(totals[:, 0]) + m[:, 0] - z[rows, gold_idx]
     loss = Tensor(losses.sum(), (logits,))
 
     def bw(g: Array) -> None:
         delta = probs.copy()
         delta[rows, gold_idx] -= 1.0
-        _accum(logits, g * delta)
+        _accum(logits, g * delta.reshape(logits.shape))
 
     loss._backward = bw
-    return loss, probs
+    return loss, probs.reshape(logits.shape)
 
 
 def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
@@ -243,4 +216,4 @@ def bilstm(
     forward = lstm_seq(x, wf, bf, reverse=False)
     backward_states = lstm_seq(x, wb, bb, reverse=True)
     states = concat((forward, backward_states), axis=1)
-    return states, getitem(forward, n - 1), getitem(backward_states, 0)
+    return states, take_rows(forward, n - 1), take_rows(backward_states, 0)

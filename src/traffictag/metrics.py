@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .corpus import SLOT_TYPES, TRAFFIC, SlotSpan
@@ -98,13 +98,6 @@ def sentence_accuracy(
     return correct / len(pred_classes)
 
 
-_REPORT_FIELDS = (
-    "f1c", "precision_c", "recall_c",
-    "f1s", "precision_s", "recall_s",
-    "sen_acc",
-)
-
-
 @dataclass
 class MetricReport:
     """One evaluation run. Fields not produced by an architecture are None
@@ -121,34 +114,7 @@ class MetricReport:
     per_type: dict[str, dict[str, float]] | None = None
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
-        out["support"] = dict(self.support)
-        out["per_type"] = self.per_type
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricReport":
-        validate_report_dict(data)
-        return cls(
-            **{name: data[name] for name in _REPORT_FIELDS},
-            support={k: int(v) for k, v in data["support"].items()},
-            per_type=data["per_type"],
-        )
-
-
-def validate_report_dict(data: dict) -> None:
-    """Check a serialized report against the fixed schema; raises ValueError."""
-    expected = set(_REPORT_FIELDS) | {"support", "per_type"}
-    if set(data) != expected:
-        raise ValueError(f"report keys {sorted(data)} != schema keys {sorted(expected)}")
-    for name in _REPORT_FIELDS:
-        value = data[name]
-        if value is not None and not isinstance(value, (int, float)):
-            raise ValueError(f"report field {name} must be numeric or null")
-        if isinstance(value, (int, float)) and not 0.0 <= float(value) <= 1.0:
-            raise ValueError(f"report field {name} outside [0, 1]: {value}")
-    if not isinstance(data["support"], dict):
-        raise ValueError("report support must be an object")

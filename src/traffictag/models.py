@@ -43,7 +43,7 @@ import numpy as np
 
 from . import bio, crf as crf_mod, subword
 from .autodiff import Tensor, add, concat, relu, take_rows
-from .corpus import CLASS_LABELS, NON_TRAFFIC, TRAFFIC, Corpus, SlotSpan, Tweet
+from .corpus import CLASS_LABELS, NON_TRAFFIC, TRAFFIC, Corpus, SlotSpan, Tweet, check_number
 from .layers import (
     affine,
     bilstm,
@@ -53,7 +53,6 @@ from .layers import (
     max_pool_over_time,
     softmax_probs,
     softmax_xent,
-    softmax_xent_rows,
     tile_rows,
 )
 from .optim import ParamStore
@@ -89,12 +88,18 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("embed_dim", "classifier_hidden", "tagger_hidden", "joint_hidden",
                      "cnn_filters", "subword_vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            check_number(name, getattr(self, name), integer=True, minimum=1)
+        if not isinstance(self.cnn_widths, (list, tuple)) or not self.cnn_widths:
+            raise ValueError(f"cnn_widths must be a non-empty list, got {self.cnn_widths!r}")
+        for width in self.cnn_widths:
+            check_number("cnn_widths", width, integer=True, minimum=1)
+        check_number("dropout", self.dropout)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout outside [0, 1): {self.dropout}")
         if self.encoder not in ("word", "subword"):
             raise ValueError(f"unknown encoder {self.encoder!r}")
+        if not isinstance(self.constrained_decode, bool):
+            raise ValueError(f"constrained_decode must be a bool, got {self.constrained_decode!r}")
         object.__setattr__(self, "cnn_widths", tuple(self.cnn_widths))
 
     def to_dict(self) -> dict:
@@ -109,10 +114,7 @@ class ModelConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown model config keys {unknown}")
-        kwargs = dict(data)
-        if "cnn_widths" in kwargs:
-            kwargs["cnn_widths"] = tuple(kwargs["cnn_widths"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 class WordVocab:
@@ -181,7 +183,7 @@ class Model:
         word_vocab: WordVocab | None = None,
         subword_vocab: subword.SubwordVocab | None = None,
     ):
-        if architecture not in _PRESETS:
+        if not isinstance(architecture, str) or architecture not in _PRESETS:
             raise ValueError(f"unknown architecture {architecture!r}")
         self.architecture = architecture
         self.encoder, self.class_head, self.tag_head, self.enhanced = _PRESETS[architecture]
@@ -308,7 +310,7 @@ class Model:
             if self.tag_head == "crf":
                 terms.append(crf_mod.nll(tag_logits, self.crf, gold))
             else:
-                terms.append(softmax_xent_rows(tag_logits, gold)[0])
+                terms.append(softmax_xent(tag_logits, gold)[0])
         return terms[0] if len(terms) == 1 else add(*terms)
 
     def predict(self, tweet: Tweet) -> Prediction:
@@ -413,6 +415,13 @@ def load_checkpoint(path: str | Path) -> Model:
     if payload["class_order"] != list(CLASS_LABELS):
         raise ValueError("checkpoint class inventory does not match this build")
     config = ModelConfig.from_dict(payload["model_config"])
+    check_number("checkpoint seed", payload["seed"], integer=True, minimum=0)
+    for name in ("word_vocab", "subword_vocab"):
+        vocab = payload[name]
+        if vocab is not None and (
+            not isinstance(vocab, list) or not all(isinstance(w, str) for w in vocab)
+        ):
+            raise ValueError(f"checkpoint {name} is not a list of strings")
     word_vocab = WordVocab(payload["word_vocab"]) if payload["word_vocab"] is not None else None
     sub_vocab = (
         subword.SubwordVocab(tuple(payload["subword_vocab"]))
@@ -433,9 +442,15 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ValueError(
                 f"checkpoint parameter {name!r} is not an object of exactly shape and values"
             )
-        tensor = model.store[name]
-        shape = tuple(entry["shape"])
-        if shape != tensor.data.shape:
-            raise ValueError(f"checkpoint parameter {name!r} shape {shape} != {tensor.data.shape}")
-        tensor.data[...] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
+        tensor, shape = model.store[name], entry["shape"]
+        # a list of ints (not bools or floats that compare equal) matching the model
+        if (not isinstance(shape, list) or any(type(n) is not int for n in shape)
+                or tuple(shape) != tensor.data.shape):
+            raise ValueError(
+                f"checkpoint parameter {name!r} shape {shape!r} != {list(tensor.data.shape)}"
+            )
+        values = np.asarray(entry["values"])
+        if values.dtype.kind not in "fi":
+            raise ValueError(f"checkpoint parameter {name!r} values are not all numbers")
+        tensor.data[...] = values.reshape(tensor.data.shape)
     return model

@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import metrics
-from .autodiff import backward
-from .corpus import TRAFFIC, Corpus, CorpusError, GeneratorConfig, Tweet
+from .autodiff import backward, mul_const
+from .corpus import TRAFFIC, Corpus, CorpusError, GeneratorConfig, Tweet, check_number
 from .models import (
     ARCHITECTURES,
     Model,
@@ -75,10 +75,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.epoch_candidates:
-            raise ValueError("epoch_candidates must be non-empty")
+        check_number("seed", self.seed, integer=True, minimum=0)
+        check_number("batch_size", self.batch_size, integer=True, minimum=1)
+        if not isinstance(self.epoch_candidates, (list, tuple)) or not self.epoch_candidates:
+            raise ValueError(f"epoch_candidates must be a non-empty list, "
+                             f"got {self.epoch_candidates!r}")
+        for epochs in self.epoch_candidates:
+            check_number("epoch_candidates", epochs, integer=True, minimum=1)
+        if self.optimizer not in (None, "adam", "sgd"):
+            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        for name in ("learning_rate", "clip_norm"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), minimum=0.0)
+        for name in ("corpus", "corpus_format", "out_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.generate_size is not None:
+            self.generator_config()  # raises on a mistyped or out-of-range setting
         object.__setattr__(self, "epoch_candidates", tuple(sorted(self.epoch_candidates)))
 
     def resolved_optimizer(self) -> tuple[str, float]:
@@ -108,12 +121,10 @@ class ExperimentConfig:
         data = dict(data)
         model_keys = {f.name for f in fields(ModelConfig)}
         model_kwargs = {k: data.pop(k) for k in list(data) if k in model_keys}
-        own_keys = {f.name for f in fields(cls)}
+        own_keys = {f.name for f in fields(cls)} - {"model"}
         unknown = [k for k in data if k not in own_keys]
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        if "epoch_candidates" in data:
-            data["epoch_candidates"] = tuple(data["epoch_candidates"])
         return cls(model=ModelConfig.from_dict(model_kwargs), **data)
 
     def config_hash(self) -> str:
@@ -146,15 +157,7 @@ class RunLog:
     wall_clock_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "criterion": self.criterion,
-            "epochs": self.epochs,
-            "selected_epoch": self.selected_epoch,
-            "test": self.test,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -220,11 +223,6 @@ def _first_non_finite_gradient(store: ParamStore) -> str | None:
     return None
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for lo in range(0, len(order), batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def train_model(
     config: ExperimentConfig, train_corpus: Corpus, dev_corpus: Corpus
 ) -> tuple[Model, RunLog]:
@@ -249,7 +247,8 @@ def train_model(
         order = np.random.default_rng([config.seed, 11, epoch]).permutation(len(tweets))
         epoch_losses = []
         grad_norm_max = 0.0
-        for batch in _batches(order, config.batch_size):
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo : lo + config.batch_size]
             model.store.zero_grad()
             scale = 1.0 / len(batch)
             for i in batch:
@@ -260,7 +259,7 @@ def train_model(
                         f"non-finite loss at epoch {epoch} on tweet {tweets[int(i)].id}"
                     )
                 epoch_losses.append(value)
-                backward(loss * scale)
+                backward(mul_const(loss, scale))
             if clip_norm is not None:
                 norm = clip_global_norm(model.store, clip_norm)
             else:

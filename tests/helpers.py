@@ -1,9 +1,13 @@
-"""Shared generators for randomized property tests."""
+"""Shared generators for randomized property tests, the grad checks'
+random-cotangent reducer, and the metric report's schema oracle."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from traffictag.autodiff import Tensor, _accum
 from traffictag.bio import TAGS
 from traffictag.corpus import SLOT_TYPES, SlotSpan
 
@@ -25,3 +29,40 @@ def random_span_set(rng: random.Random, n_tokens: int) -> list[SlotSpan]:
 def random_tag_sequence(rng: random.Random, n_tokens: int) -> list[str]:
     """Uniformly random tags; usually violates the BIO rule."""
     return [rng.choice(TAGS) for _ in range(n_tokens)]
+
+
+def cotangent(shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
+    """The fixed uniform [-1, 1) array that ``project`` pairs with."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+
+
+def project(x: Tensor, seed: int = 0) -> Tensor:
+    """Scalar <x, R> for R = cotangent(x.shape, seed), as one graph node.
+
+    Reducing an op's output this way sends a different cotangent to every
+    entry, so a gradient routed to the wrong row or position shows up in a
+    finite-difference check; a plain sum's all-ones cotangent hides it.
+    """
+    r = cotangent(x.shape, seed)
+    out = Tensor((x.data * r).sum(), (x,))
+    out._backward = lambda g: _accum(x, g * r)
+    return out
+
+
+# the report schema, pinned here rather than read back from MetricReport
+_SCORE_FIELDS = ("f1c", "precision_c", "recall_c", "f1s", "precision_s", "recall_s", "sen_acc")
+
+
+def validate_report_dict(data: dict) -> None:
+    """Check a serialized report against the fixed schema; raises ValueError."""
+    expected = set(_SCORE_FIELDS) | {"support", "per_type"}
+    if set(data) != expected:
+        raise ValueError(f"report keys {sorted(data)} != schema keys {sorted(expected)}")
+    for name in _SCORE_FIELDS:
+        value = data[name]
+        if value is not None and not isinstance(value, (int, float)):
+            raise ValueError(f"report field {name} must be numeric or null")
+        if isinstance(value, (int, float)) and not 0.0 <= float(value) <= 1.0:
+            raise ValueError(f"report field {name} outside [0, 1]: {value}")
+    if not isinstance(data["support"], dict):
+        raise ValueError("report support must be an object")

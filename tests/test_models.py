@@ -4,14 +4,16 @@ reduction, parameter layout, edge cases, checkpoints."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import random_span_set
 from traffictag import bio, subword
-from traffictag.autodiff import backward, grad_check
+from traffictag.autodiff import add, backward, grad_check
 from traffictag.corpus import (
     CLASS_LABELS,
     NON_TRAFFIC,
@@ -20,6 +22,7 @@ from traffictag.corpus import (
     SlotSpan,
     Tweet,
     generate_synthetic,
+    normalize_tweet,
 )
 from traffictag.layers import softmax_probs
 from traffictag.models import (
@@ -160,8 +163,8 @@ class TestPresets:
         model = build_model(arch, SMALL, seed=14, word_vocab=word_vocab, subword_vocab=sub_vocab)
         rng = np.random.default_rng(0)
         for edge in edge_tweets(tweet):
-            assert np.isfinite(model.loss(edge).item()), edge.id
-            assert np.isfinite(model.loss(edge, train=True, rng=rng).item()), edge.id
+            assert np.isfinite(float(model.loss(edge).data)), edge.id
+            assert np.isfinite(float(model.loss(edge, train=True, rng=rng).data)), edge.id
             pred = model.predict(edge)
             if model.tag_head:
                 assert len(pred.tags) == len(edge.tokens), edge.id
@@ -270,7 +273,7 @@ class TestJoint:
 
     def test_loss_paths_agree(self, sub_vocab, tweet):
         model = build_model("enhanced_joint", SMALL, seed=9, subword_vocab=sub_vocab)
-        tensor_loss = model.loss(tweet).item()
+        tensor_loss = float(model.loss(tweet).data)
         # factorized joint NLL from the probabilities: -log p(class) - sum_i log p(tag_i)
         cls_p, tag_p = class_probs(model, tweet.tokens), tag_probs(model, tweet.tokens)
         gold_tags = bio.encode_spans(len(tweet.tokens), tweet.spans)
@@ -280,7 +283,7 @@ class TestJoint:
         assert tensor_loss == pytest.approx(expected, abs=1e-9)
 
     def test_encoder_gradient_is_sum_of_head_gradients(self, sub_vocab, tweet):
-        from traffictag.layers import softmax_xent, softmax_xent_rows
+        from traffictag.layers import softmax_xent
         from traffictag.models import _gold_class, _gold_tag_ids
 
         model = build_model("joint", SMALL, seed=10, subword_vocab=sub_vocab)
@@ -289,14 +292,14 @@ class TestJoint:
         def run(which):
             class_logits, slot_logits = model.logits(tweet.tokens)
             class_l, _ = softmax_xent(class_logits, _gold_class(tweet))
-            slot_l, _ = softmax_xent_rows(slot_logits, _gold_tag_ids(tweet))
+            slot_l, _ = softmax_xent(slot_logits, _gold_tag_ids(tweet))
             model.store.zero_grad()
             if which == "class":
                 backward(class_l)
             elif which == "slot":
                 backward(slot_l)
             else:
-                backward(class_l + slot_l)
+                backward(add(class_l, slot_l))
             return emb.grad.copy()
 
         total = run("both")
@@ -337,8 +340,6 @@ class TestCheckpoints:
                 assert a.spans == b.spans
 
     def test_tag_order_mismatch_rejected(self, word_vocab, tmp_path):
-        import json
-
         model = build_model("lstm_tagger", SMALL, seed=1, word_vocab=word_vocab)
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
@@ -349,8 +350,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_missing_parameters_rejected(self, word_vocab, tmp_path):
-        import json
-
         model = build_model("lstm_crf", SMALL, seed=1, word_vocab=word_vocab)
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
@@ -372,3 +371,18 @@ class TestCheckpoints:
             ModelConfig(embed_dim=0)
         with pytest.raises(ValueError):
             ModelConfig(encoder="bytes")
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm_crf"])
+    def test_v1_fixture_predictions_pinned(self, arch):
+        """A trained format-1 checkpoint saved by an earlier build gives the
+        labels and tags it gave then on ten raw tweets (all in tests/data)."""
+        data = Path(__file__).parent / "data"
+        model = load_checkpoint(data / f"v1_{arch}.json")
+        pinned = json.loads((data / "v1_predictions.json").read_text())[arch]
+        raw = [json.loads(line) for line in (data / "v1_tweets.jsonl").read_text().splitlines()]
+        assert len(raw) == len(pinned) == 10
+        for record, expected in zip(raw, pinned):
+            tokens = tuple(normalize_tweet(record["text"]))
+            pred = model.predict(Tweet(record["id"], record["text"], tokens, NON_TRAFFIC, ()))
+            assert pred.class_label == expected["label"]
+            assert (list(pred.tags) if pred.tags else None) == expected["tags"]

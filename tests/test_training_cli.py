@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import validate_report_dict
 from traffictag import models
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
@@ -19,7 +20,6 @@ from traffictag.corpus import (
     save_corpus,
     split_corpus,
 )
-from traffictag.metrics import MetricReport, validate_report_dict
 from traffictag.models import ModelConfig
 from traffictag.training import (
     EPOCH_CANDIDATES,
@@ -135,7 +135,9 @@ class TestTraining:
                 for p in params:
                     _accum(p, np.full(p.shape, np.inf))
 
-            return Tensor(1.0, params, bw)
+            out = Tensor(1.0, params)
+            out._backward = bw
+            return out
 
         monkeypatch.setattr(models.Model, "loss", poisoned_loss)
         with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{poisoned[1]}$"):
@@ -160,6 +162,16 @@ class TestTraining:
         assert rt.f1s is not None and rt.f1c is None and rt.sen_acc is None
         assert criterion_value(rc, "classifier") == rc.f1c
         assert criterion_value(rt, "tagger") == rt.f1s
+
+
+def _config(**fields):
+    """Checkpoint damage: overwrite model_config fields."""
+    return lambda p: {**p, "model_config": {**p["model_config"], **fields}}
+
+
+def _emb(**fields):
+    """Checkpoint damage: overwrite fields of the embedding's parameter entry."""
+    return lambda p: {**p, "params": {**p["params"], "emb": {**p["params"]["emb"], **fields}}}
 
 
 class TestCli:
@@ -215,10 +227,9 @@ class TestCli:
         out_report = tmp_path / "eval.json"
         assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
                      "--corpus", str(run / "test.jsonl"), "--out", str(out_report)]) == 0
-        cli_report = MetricReport.from_dict(json.loads(out_report.read_text()))
         offline = evaluate(models.load_checkpoint(run / "checkpoint.json"),
                            load_corpus(run / "test.jsonl"))
-        assert cli_report == offline
+        assert json.loads(out_report.read_text()) == offline.to_dict()
 
         # transfer on the identical corpus equals in-domain eval
         transfer_out = tmp_path / "transfer.json"
@@ -286,6 +297,19 @@ class TestCli:
          "parameter 'emb' is not an object of exactly shape and values"),
         (lambda p: {**p, "params": {**p["params"], "emb": {**p["params"]["emb"], "x": 0}}},
          "'emb' is not an object of exactly shape and values"),
+        (_config(embed_dim="x"), "embed_dim must be an int >= 1, got 'x'"),
+        (_config(embed_dim=True), "embed_dim must be an int >= 1, got True"),
+        (_config(embed_dim=4.0), "embed_dim must be an int >= 1, got 4.0"),
+        (_config(cnn_widths=[]), r"cnn_widths must be a non-empty list, got \[\]"),
+        (_config(cnn_widths=[0]), "cnn_widths must be an int >= 1, got 0"),
+        (_config(cnn_widths="345"), "cnn_widths must be a non-empty list, got '345'"),
+        (_config(dropout="0.2"), "dropout must be a number"),
+        (_config(constrained_decode=1), "constrained_decode must be a bool"),
+        (_emb(shape=5), r"parameter 'emb' shape 5 != \[\d+, 12\]"),
+        (_emb(values={}), "parameter 'emb' values are not all numbers"),
+        (lambda p: {**p, "seed": "s"}, "checkpoint seed must be an int >= 0, got 's'"),
+        (lambda p: {**p, "word_vocab": 5}, "checkpoint word_vocab is not a list of strings"),
+        (lambda p: {**p, "architecture": []}, r"unknown architecture \[\]"),
     ])
     def test_predict_rejects_broken_checkpoint(self, tmp_path, capsys, damage, message):
         checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
@@ -322,6 +346,32 @@ class TestCli:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("override,message", [
+        ({"epoch_candidates": [0]}, "epoch_candidates must be an int >= 1, got 0"),
+        ({"epoch_candidates": 5}, "epoch_candidates must be a non-empty list, got 5"),
+        ({"seed": "s"}, "seed must be an int >= 0, got 's'"),
+        ({"batch_size": 2.5}, "batch_size must be an int >= 1, got 2.5"),
+        ({"cnn_widths": []}, r"cnn_widths must be a non-empty list, got \[\]"),
+        ({"embed_dim": "x"}, "embed_dim must be an int >= 1, got 'x'"),
+        ({"optimizer": "adagrad"}, "optimizer must be adam or sgd, got 'adagrad'"),
+        ({"learning_rate": "fast"}, "learning_rate must be a number"),
+        ({"out_dir": 3}, "out_dir must be a string, got 3"),
+        ({"generate_pool_size": "x"}, "pool_size must be an int, got 'x'"),
+        ({"generate_region": ["BRU"]}, r"unknown region \['BRU'\]"),
+        ({"model": {}}, r"unknown config keys: \['model'\]"),
+    ])
+    def test_train_config_fault_is_data_error(self, tmp_path, capsys, override, message):
+        config_path = self._write_config(tmp_path, **override)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_train_config_not_an_object_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[]")
+        assert main(["train", "--config", str(path), "--seed", "1"]) == 2
+        assert "config is a JSON list, not an object" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path):
         config_path = self._write_config(tmp_path, generate_size=60)
