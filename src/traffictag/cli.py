@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
 
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, out / "checkpoint.json", extra={"config_hash": config.config_hash()})
+    save_checkpoint(model, out / "checkpoint.npz", extra={"config_hash": config.config_hash()})
     (out / "runlog.json").write_text(log.to_json(), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     for name, part in (("train", train_c), ("dev", dev_c), ("test", test_c)):
@@ -218,7 +218,12 @@ def cmd_predict(args) -> int:
             continue
         try:
             record = json.loads(line)
-            tweet_id, text = str(record["id"]), str(record["text"])
+            tweet_id, text = record["id"], record["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {type(text).__name__}")
+            if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
+                raise TypeError(f"id must be a string or an int, got {type(tweet_id).__name__}")
+            tweet_id = str(tweet_id)
             tokens = normalize_tweet(text)
         except (json.JSONDecodeError, KeyError, TypeError, DegenerateTweetError) as exc:
             print(f"warning: skipped line {lineno}: {exc}", file=sys.stderr)

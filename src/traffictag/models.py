@@ -34,6 +34,9 @@ token count. The other presets read words.
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -364,7 +367,20 @@ def build_model(
     return Model(architecture, config, seed, word_vocab, subword_vocab)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the archive member holding the metadata; no parameter name starts with "_"
+METADATA_MEMBER = "__metadata__"
+_ZIP_MAGIC = b"PK\x03\x04"
+# besides ValueError, what reading a damaged file raises: zipfile's
+# BadZipFile, EOFError and OSError (a bad offset); RuntimeError (an
+# "encrypted" member, or NotImplementedError for an unknown compression
+# method); zlib.error; and SyntaxError or tokenize.TokenError from numpy's
+# parser of a damaged npy header
+_READ_ERRORS = (
+    zipfile.BadZipFile, EOFError, OSError, RuntimeError, zlib.error,
+    tokenize.TokenError, SyntaxError,
+)
 
 _CHECKPOINT_FIELDS = (
     "architecture", "model_config", "seed", "tag_order", "class_order",
@@ -372,8 +388,9 @@ _CHECKPOINT_FIELDS = (
 )
 
 
-def checkpoint_payload(model: Model, extra: dict | None = None) -> dict:
-    payload = {
+def checkpoint_metadata(model: Model, extra: dict | None = None) -> dict:
+    """Everything a checkpoint holds besides the parameter values."""
+    metadata = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": model.architecture,
         "model_config": model.config.to_dict(),
@@ -382,31 +399,92 @@ def checkpoint_payload(model: Model, extra: dict | None = None) -> dict:
         "class_order": list(CLASS_LABELS),
         "word_vocab": list(model.word_vocab.itos[2:]) if model.word_vocab else None,
         "subword_vocab": list(model.subword_vocab.pieces) if model.subword_vocab else None,
-        "params": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            for name, t in model.store.params.items()
-        },
     }
     if extra:
-        overlap = set(extra) & set(payload)
+        overlap = set(extra) & (set(metadata) | {"params"})
         if overlap:
             raise ValueError(f"extra checkpoint metadata collides with {sorted(overlap)}")
-        payload.update(extra)
-    return payload
+        metadata.update(extra)
+    return metadata
 
 
 def save_checkpoint(model: Model, path: str | Path, extra: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(checkpoint_payload(model, extra)) + "\n", encoding="utf-8"
-    )
+    """Write one uncompressed .npz archive at exactly ``path``: the metadata as
+    a JSON string in a 0-d unicode member, then one member per parameter in
+    store order."""
+    members = {METADATA_MEMBER: np.array(json.dumps(checkpoint_metadata(model, extra)))}
+    members.update((name, t.data) for name, t in model.store.params.items())
+    with open(path, "wb") as f:  # np.savez appends .npz to a str path
+        np.savez(f, **members)
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"checkpoint is a JSON {type(payload).__name__}, not an object")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    """Load a format-2 archive or a format-1 JSON checkpoint, told apart by
+    the leading bytes, not the suffix. Both pass the same checks; every fault
+    is a ValueError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            try:
+                payload = _read_archive(f) if f.read(4) == _ZIP_MAGIC else _read_json(f)
+            except _READ_ERRORS as exc:
+                raise ValueError(f"unreadable checkpoint ({type(exc).__name__}: {exc})") from exc
+        return _restore(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _checkpoint_object(data, version: int) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint is a JSON {type(data).__name__}, not an object")
+    if data.get("format_version") != version:
+        raise ValueError(f"unsupported checkpoint version {data.get('format_version')!r}")
+    return data
+
+
+def _read_archive(f) -> dict:
+    """Format 2: the metadata plus params as {name: (shape, float64 array)}."""
+    f.seek(0)
+    with np.load(f, allow_pickle=False) as archive:
+        if METADATA_MEMBER not in archive.files:
+            raise ValueError(f"checkpoint archive has no {METADATA_MEMBER!r} member")
+        members = {name: archive[name] for name in archive.files}
+    for name, array in members.items():
+        if not isinstance(array, np.ndarray):  # a member without the npy header
+            raise ValueError(f"checkpoint member {name!r} is not an npy array")
+    metadata = members.pop(METADATA_MEMBER)
+    if metadata.shape != () or metadata.dtype.kind != "U":
+        raise ValueError("checkpoint metadata is not a 0-d unicode array")
+    payload = _checkpoint_object(json.loads(metadata.item()), 2)
+    if "params" in payload:
+        raise ValueError("checkpoint metadata holds a params field")
+    for name, array in members.items():
+        if array.dtype != np.float64:
+            raise ValueError(f"checkpoint parameter {name!r} is {array.dtype}, not float64")
+    if members:  # an archive of metadata alone lacks the params field
+        payload["params"] = {name: (list(a.shape), a) for name, a in members.items()}
+    return payload
+
+
+def _read_json(f) -> dict:
+    """Format 1: the payload, its params entries turned into (shape, array)."""
+    f.seek(0)
+    payload = _checkpoint_object(json.loads(f.read().decode("utf-8")), 1)
+    if "params" not in payload:
+        return payload
+    params = payload["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"checkpoint params is a JSON {type(params).__name__}, not an object")
+    for name, entry in params.items():
+        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+            raise ValueError(
+                f"checkpoint parameter {name!r} is not an object of exactly shape and values"
+            )
+        params[name] = (entry["shape"], np.asarray(entry["values"]))
+    return payload
+
+
+def _restore(payload: dict) -> Model:
+    """The checks both formats pass, then the model they describe."""
     missing = [name for name in _CHECKPOINT_FIELDS if name not in payload]
     if missing:
         raise ValueError(f"checkpoint lacks the fields {missing}")
@@ -430,26 +508,19 @@ def load_checkpoint(path: str | Path) -> Model:
     )
     model = build_model(payload["architecture"], config, payload["seed"], word_vocab, sub_vocab)
     params = payload["params"]
-    if not isinstance(params, dict):
-        raise ValueError(f"checkpoint params is a JSON {type(params).__name__}, not an object")
     missing = [name for name in model.store.names() if name not in params]
     if missing:
         raise ValueError(f"checkpoint lacks {payload['architecture']} parameters {missing}")
-    for name, entry in params.items():
+    for name, (shape, values) in params.items():
         if name not in model.store:
             raise ValueError(f"checkpoint parameter {name!r} unknown to {payload['architecture']}")
-        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
-            raise ValueError(
-                f"checkpoint parameter {name!r} is not an object of exactly shape and values"
-            )
-        tensor, shape = model.store[name], entry["shape"]
+        tensor = model.store[name]
         # a list of ints (not bools or floats that compare equal) matching the model
         if (not isinstance(shape, list) or any(type(n) is not int for n in shape)
                 or tuple(shape) != tensor.data.shape):
             raise ValueError(
                 f"checkpoint parameter {name!r} shape {shape!r} != {list(tensor.data.shape)}"
             )
-        values = np.asarray(entry["values"])
         if values.dtype.kind not in "fi":
             raise ValueError(f"checkpoint parameter {name!r} values are not all numbers")
         tensor.data[...] = values.reshape(tensor.data.shape)

@@ -1,8 +1,10 @@
 """Shared generators for randomized property tests, the grad checks'
-random-cotangent reducer, and the metric report's schema oracle."""
+random-cotangent reducer, the metric report's schema oracle, and a
+checkpoint archive's payload reader and writer for damage tests."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -10,6 +12,7 @@ import numpy as np
 from traffictag.autodiff import Tensor, _accum
 from traffictag.bio import TAGS
 from traffictag.corpus import SLOT_TYPES, SlotSpan
+from traffictag.models import METADATA_MEMBER
 
 
 def random_span_set(rng: random.Random, n_tokens: int) -> list[SlotSpan]:
@@ -66,3 +69,41 @@ def validate_report_dict(data: dict) -> None:
             raise ValueError(f"report field {name} outside [0, 1]: {value}")
     if not isinstance(data["support"], dict):
         raise ValueError("report support must be an object")
+
+
+class NoArchiveForm(ValueError):
+    """A payload fault that only a format-1 JSON file can hold."""
+
+
+def read_archive(path) -> dict:
+    """A format-2 checkpoint as a format-1-style payload: its metadata plus
+    ``params`` as {name: {"shape": [...], "values": [flat floats]}}."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    payload = json.loads(arrays.pop(METADATA_MEMBER).item())
+    payload["params"] = {
+        name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
+        for name, a in arrays.items()
+    }
+    return payload
+
+
+def write_archive(payload, path) -> None:
+    """The inverse of ``read_archive``. A payload that is not a dict is
+    written as the metadata; a parameter entry that is not exactly a shape
+    and values that reshape to it raises NoArchiveForm."""
+    if isinstance(payload, dict):
+        metadata = {k: v for k, v in payload.items() if k != "params"}
+        params = payload.get("params", {})
+    else:
+        metadata, params = payload, {}
+    members = {METADATA_MEMBER: np.array(json.dumps(metadata))}
+    for name, entry in params.items():
+        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+            raise NoArchiveForm(f"parameter {name!r} entry {entry!r}")
+        try:
+            members[name] = np.asarray(entry["values"]).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise NoArchiveForm(f"parameter {name!r}: {exc}") from exc
+    with open(path, "wb") as f:
+        np.savez(f, **members)

@@ -276,7 +276,7 @@ def test_transfer_analog(tmp_path):
 
     transfer_report = tmp_path / "transfer_report.json"
     assert main([
-        "transfer", "--checkpoint", str(run / "checkpoint.json"),
+        "transfer", "--checkpoint", str(run / "checkpoint.npz"),
         "--corpus", str(data / "be.jsonl"), "--out", str(transfer_report),
     ]) == 0
 
@@ -295,7 +295,7 @@ def test_transfer_analog(tmp_path):
         "".join(json.dumps({"id": t.id, "text": t.raw_text}) + "\n" for t in held_out)
     )
     annotated = tmp_path / "annotated.jsonl"
-    assert main(["predict", "--checkpoint", str(run / "checkpoint.json"),
+    assert main(["predict", "--checkpoint", str(run / "checkpoint.npz"),
                  "--input", str(raw), "--out", str(annotated)]) == 0
     by_id = {t.id: t for t in held_out}
     exact = 0

@@ -252,7 +252,7 @@ class TestIO:
         assert text.split("\n")[line - 1] == rows[-1]
         model = build_model("cnn", ModelConfig(embed_dim=4, cnn_filters=2), 1,
                             word_vocab=WordVocab(["file"]))
-        checkpoint = tmp_path / "cnn.json"
+        checkpoint = tmp_path / "cnn.npz"
         save_checkpoint(model, checkpoint)
         assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == 2
         assert f"line {line}: invalid tag sequence ({fault})" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_span_set
+from helpers import random_span_set, read_archive, write_archive
 from traffictag import bio, subword
 from traffictag.autodiff import add, backward, grad_check
 from traffictag.corpus import (
@@ -331,34 +331,49 @@ class TestCheckpoints:
         for arch in ARCHITECTURES:
             model = build_model(arch, SMALL, seed=13,
                                 word_vocab=word_vocab, subword_vocab=sub_vocab)
-            path = tmp_path / f"{arch}.json"
+            # one file at exactly the path given, whatever its suffix
+            path = tmp_path / arch / "checkpoint.json"
+            path.parent.mkdir()
             save_checkpoint(model, path)
+            assert list(path.parent.iterdir()) == [path]
             again = load_checkpoint(path)
+            for name in model.store.names():
+                assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
+            save_checkpoint(again, path.with_name("again.npz"))
+            assert path.with_name("again.npz").read_bytes() == path.read_bytes()
             for tweet in list(corpus)[:5]:
                 a, b = model.predict(tweet), again.predict(tweet)
                 assert a.class_label == b.class_label
                 assert a.spans == b.spans
 
+    @staticmethod
+    def _damaged_copies(model, tmp_path, damage):
+        """The model's checkpoint damaged as a format-2 archive and as a
+        format-1 JSON file."""
+        archive = tmp_path / "ckpt.npz"
+        save_checkpoint(model, archive)
+        payload = read_archive(archive)
+        write_archive(damage(payload), archive)
+        v1 = tmp_path / "ckpt.json"
+        v1.write_text(json.dumps(damage({**payload, "format_version": 1})))
+        return archive, v1
+
     def test_tag_order_mismatch_rejected(self, word_vocab, tmp_path):
         model = build_model("lstm_tagger", SMALL, seed=1, word_vocab=word_vocab)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        payload["tag_order"] = payload["tag_order"][::-1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        for path in self._damaged_copies(
+            model, tmp_path, lambda p: {**p, "tag_order": p["tag_order"][::-1]}
+        ):
+            with pytest.raises(ValueError, match="tag inventory"):
+                load_checkpoint(path)
 
     def test_missing_parameters_rejected(self, word_vocab, tmp_path):
         model = build_model("lstm_crf", SMALL, seed=1, word_vocab=word_vocab)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        del payload["params"]["crf.trans"]
-        del payload["params"]["tag.w"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"'tag.w', 'crf.trans'"):
-            load_checkpoint(path)
+        drop = ("crf.trans", "tag.w")
+        damage = lambda p: {**p, "params": {
+            k: v for k, v in p["params"].items() if k not in drop}}
+        for path in self._damaged_copies(model, tmp_path, damage):
+            with pytest.raises(ValueError, match=r"'tag.w', 'crf.trans'"):
+                load_checkpoint(path)
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
@@ -376,13 +391,30 @@ class TestCheckpoints:
     def test_v1_fixture_predictions_pinned(self, arch):
         """A trained format-1 checkpoint saved by an earlier build gives the
         labels and tags it gave then on ten raw tweets (all in tests/data)."""
-        data = Path(__file__).parent / "data"
-        model = load_checkpoint(data / f"v1_{arch}.json")
-        pinned = json.loads((data / "v1_predictions.json").read_text())[arch]
-        raw = [json.loads(line) for line in (data / "v1_tweets.jsonl").read_text().splitlines()]
-        assert len(raw) == len(pinned) == 10
-        for record, expected in zip(raw, pinned):
-            tokens = tuple(normalize_tweet(record["text"]))
-            pred = model.predict(Tweet(record["id"], record["text"], tokens, NON_TRAFFIC, ()))
-            assert pred.class_label == expected["label"]
-            assert (list(pred.tags) if pred.tags else None) == expected["tags"]
+        _assert_pinned_predictions(load_checkpoint(DATA / f"v1_{arch}.json"), arch)
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm_crf"])
+    def test_v1_fixture_migrates_to_archive(self, arch, tmp_path):
+        """Format 1 loaded and saved again as format 2 keeps every parameter
+        bit for bit, and the pinned predictions."""
+        model = load_checkpoint(DATA / f"v1_{arch}.json")
+        save_checkpoint(model, tmp_path / "v2.npz")
+        again = load_checkpoint(tmp_path / "v2.npz")
+        assert again.store.names() == model.store.names()
+        for name in model.store.names():
+            assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
+        _assert_pinned_predictions(again, arch)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_pinned_predictions(model, arch):
+    pinned = json.loads((DATA / "v1_predictions.json").read_text())[arch]
+    raw = [json.loads(line) for line in (DATA / "v1_tweets.jsonl").read_text().splitlines()]
+    assert len(raw) == len(pinned) == 10
+    for record, expected in zip(raw, pinned):
+        tokens = tuple(normalize_tweet(record["text"]))
+        pred = model.predict(Tweet(record["id"], record["text"], tokens, NON_TRAFFIC, ()))
+        assert pred.class_label == expected["label"]
+        assert (list(pred.tags) if pred.tags else None) == expected["tags"]

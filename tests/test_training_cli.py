@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import re
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import validate_report_dict
+from helpers import NoArchiveForm, read_archive, validate_report_dict, write_archive
 from traffictag import models
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
@@ -20,7 +23,7 @@ from traffictag.corpus import (
     save_corpus,
     split_corpus,
 )
-from traffictag.models import ModelConfig
+from traffictag.models import METADATA_MEMBER, ModelConfig
 from traffictag.training import (
     EPOCH_CANDIDATES,
     ExperimentConfig,
@@ -174,6 +177,24 @@ def _emb(**fields):
     return lambda p: {**p, "params": {**p["params"], "emb": {**p["params"]["emb"], **fields}}}
 
 
+def _npy_header(header):
+    """Archive damage: replace the npy header text of the member emb.npy.
+    numpy's header parser raises TokenError or SyntaxError, not ValueError,
+    on some texts."""
+    def damage(data):
+        with zipfile.ZipFile(io.BytesIO(data)) as z:
+            members = {name: z.read(name) for name in z.namelist()}
+        npy = members["emb.npy"]
+        size = int.from_bytes(npy[8:10], "little")  # the header length of npy version 1.0
+        members["emb.npy"] = npy[:10] + header.encode().ljust(size - 1) + b"\n" + npy[10 + size:]
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w") as z:
+            for name, member in members.items():
+                z.writestr(name, member)
+        return out.getvalue()
+    return damage
+
+
 class TestCli:
     def test_generate_twins_consistent_and_reproducible(self, tmp_path):
         out = tmp_path / "corpus"
@@ -217,33 +238,34 @@ class TestCli:
         config_path = self._write_config(tmp_path)
         assert main(["train", "--config", str(config_path)]) == 0
         run = tmp_path / "run"
-        for artifact in ("checkpoint.json", "runlog.json", "report.json",
+        for artifact in ("checkpoint.npz", "runlog.json", "report.json",
                          "train.jsonl", "dev.jsonl", "test.jsonl"):
             assert (run / artifact).exists()
+        assert (run / "checkpoint.npz").read_bytes()[:4] == b"PK\x03\x04"
         report_data = json.loads((run / "report.json").read_text())
         validate_report_dict(report_data)
 
         # eval must agree with an offline recount on the same corpus
         out_report = tmp_path / "eval.json"
-        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                      "--corpus", str(run / "test.jsonl"), "--out", str(out_report)]) == 0
-        offline = evaluate(models.load_checkpoint(run / "checkpoint.json"),
+        offline = evaluate(models.load_checkpoint(run / "checkpoint.npz"),
                            load_corpus(run / "test.jsonl"))
         assert json.loads(out_report.read_text()) == offline.to_dict()
 
         # transfer on the identical corpus equals in-domain eval
         transfer_out = tmp_path / "transfer.json"
-        before = (run / "checkpoint.json").read_bytes()
-        assert main(["transfer", "--checkpoint", str(run / "checkpoint.json"),
+        before = (run / "checkpoint.npz").read_bytes()
+        assert main(["transfer", "--checkpoint", str(run / "checkpoint.npz"),
                      "--corpus", str(run / "test.jsonl"), "--out", str(transfer_out)]) == 0
         assert json.loads(transfer_out.read_text()) == json.loads(out_report.read_text())
-        assert (run / "checkpoint.json").read_bytes() == before
+        assert (run / "checkpoint.npz").read_bytes() == before
 
         # predict: empty input -> empty output, exit 0
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         out_pred = tmp_path / "pred.jsonl"
-        assert main(["predict", "--checkpoint", str(run / "checkpoint.json"),
+        assert main(["predict", "--checkpoint", str(run / "checkpoint.npz"),
                      "--input", str(empty), "--out", str(out_pred)]) == 0
         assert out_pred.read_text() == ""
 
@@ -254,7 +276,7 @@ class TestCli:
             "not json\n"
             '{"id": "b", "text": "https://t.co/onlyurl"}\n'
         )
-        assert main(["predict", "--checkpoint", str(run / "checkpoint.json"),
+        assert main(["predict", "--checkpoint", str(run / "checkpoint.npz"),
                      "--input", str(mixed), "--out", str(out_pred)]) == 2
         lines = [json.loads(l) for l in out_pred.read_text().splitlines()]
         assert [l["id"] for l in lines] == ["a"]
@@ -265,7 +287,7 @@ class TestCli:
         corpus = generate_synthetic(GeneratorConfig(size=20), seed=2)
         model = models.build_model(arch, ModelConfig(**TINY_MODEL), 1,
                                    word_vocab=models.WordVocab.build(corpus))
-        checkpoint = tmp_path / f"{arch}.json"
+        checkpoint = tmp_path / f"{arch}.npz"
         models.save_checkpoint(model, checkpoint)
         corpus_path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, corpus_path)
@@ -312,13 +334,86 @@ class TestCli:
         (lambda p: {**p, "architecture": []}, r"unknown architecture \[\]"),
     ])
     def test_predict_rejects_broken_checkpoint(self, tmp_path, capsys, damage, message):
+        """Each fault, in a format-2 archive and in a format-1 JSON file, is a
+        data error that names it and the file. A parameter entry's JSON
+        structure exists only in format 1; test_predict_rejects_broken_archive
+        damages archive members."""
         checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
-        with open(checkpoint, encoding="utf-8") as f:
-            payload = json.load(f)
-        with open(checkpoint, "w", encoding="utf-8") as f:
-            json.dump(damage(payload), f)
+        payload = read_archive(checkpoint)
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(damage({**payload, "format_version": 1})))
+        targets = [v1]
+        try:
+            write_archive(damage(payload), checkpoint)
+            targets.append(checkpoint)
+        except NoArchiveForm:
+            assert "'emb'" in message
+        for target in targets:
+            assert main(["predict", "--checkpoint", str(target), "--input", raw]) == 2
+            err = capsys.readouterr().err
+            assert re.search(message, err) and str(target) in err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda a: {**a, "emb": a["emb"].astype(np.int64)}, "parameter 'emb' is int64, not float64"),
+        (lambda a: {**a, "emb": a["emb"] > 0}, "parameter 'emb' is bool, not float64"),
+        (lambda a: {**a, "emb": a["emb"][:5, 0]}, r"parameter 'emb' shape \[5\] != \[\d+, 12\]"),
+        (lambda a: {**a, "emb": np.array([{}], dtype=object)}, "Object arrays cannot be loaded"),
+        (lambda a: {k: v for k, v in a.items() if k != "crf.end"},
+         r"lacks lstm_crf parameters \['crf.end'\]"),
+        (lambda a: {**a, "bogus": a["emb"]}, "parameter 'bogus' unknown to lstm_crf"),
+        (lambda a: {k: v for k, v in a.items() if k != METADATA_MEMBER},
+         "archive has no '__metadata__' member"),
+        (lambda a: {**a, METADATA_MEMBER: np.array("{")}, "Expecting property name"),
+        (lambda a: {**a, METADATA_MEMBER: np.array([1.0])}, "metadata is not a 0-d unicode array"),
+        (lambda a: {**a, METADATA_MEMBER: np.array(json.dumps(
+            {**json.loads(a[METADATA_MEMBER].item()), "format_version": 1}))},
+         "unsupported checkpoint version 1"),
+        (lambda a: {**a, METADATA_MEMBER: np.array(json.dumps(
+            {**json.loads(a[METADATA_MEMBER].item()), "params": {}}))},
+         "metadata holds a params field"),
+    ])
+    def test_predict_rejects_broken_archive(self, tmp_path, capsys, damage, message):
+        checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
+        with np.load(checkpoint) as archive:
+            members = {name: archive[name] for name in archive.files}
+        with open(checkpoint, "wb") as f:
+            np.savez(f, **damage(members))
         assert main(["predict", "--checkpoint", checkpoint, "--input", raw]) == 2
-        assert re.search(message, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(message, err) and checkpoint in err
+
+    @pytest.mark.parametrize("damage,error", [
+        (lambda data: data[:4], "BadZipFile"),
+        (lambda data: data[: len(data) // 2], "BadZipFile"),
+        (lambda data: data[:-10], "BadZipFile"),
+        (_npy_header("{'descr': '<f8', 'fortran_order': False, 'shape': (3,"), "TokenError"),
+        (_npy_header("{'descr': '<f8,,', 'fortran_order': False, 'shape': (3,), }"),
+         "SyntaxError"),
+    ])
+    def test_predict_rejects_unreadable_archive(self, tmp_path, capsys, damage, error):
+        checkpoint, _, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
+        path = Path(checkpoint)
+        path.write_bytes(damage(path.read_bytes()))
+        assert main(["predict", "--checkpoint", checkpoint, "--input", raw]) == 2
+        assert f"{checkpoint}: unreadable checkpoint ({error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"id": 7, "text": null}', "text must be a string, got NoneType"),
+        ('{"id": 7, "text": ["file", "e40"]}', "text must be a string, got list"),
+        ('{"id": 7, "text": 40}', "text must be a string, got int"),
+        ('{"id": true, "text": "file e40"}', "id must be a string or an int, got bool"),
+        ('{"id": null, "text": "file e40"}', "id must be a string or an int, got NoneType"),
+        ('{"id": 1.5, "text": "file e40"}', "id must be a string or an int, got float"),
+    ])
+    def test_predict_skips_mistyped_lines(self, tmp_path, capsys, line, message):
+        checkpoint, _, _ = self._untrained_checkpoint(tmp_path, "cnn")
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(line + '\n{"id": 8, "text": "file e40"}\n')
+        out = tmp_path / "pred.jsonl"
+        assert main(["predict", "--checkpoint", checkpoint, "--input", str(raw),
+                     "--out", str(out)]) == 2
+        assert f"skipped line 1: {message}" in capsys.readouterr().err
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["8"]
 
     def test_constrained_decode_applied_to_crf(self, tmp_path):
         checkpoint, corpus_path, raw = self._untrained_checkpoint(tmp_path, "lstm_crf")
