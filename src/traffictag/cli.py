@@ -18,12 +18,13 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
-    DegenerateTweetError,
     GeneratorConfig,
     Tweet,
     generate_synthetic,
+    jsonl_line,
     load_corpus,
     normalize_tweet,
+    read_field,
     save_corpus,
     split_corpus,
 )
@@ -218,35 +219,16 @@ def cmd_predict(args) -> int:
             continue
         try:
             record = json.loads(line)
-            tweet_id, text = record["id"], record["text"]
-            if not isinstance(text, str):
-                raise TypeError(f"text must be a string, got {type(text).__name__}")
-            if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
-                raise TypeError(f"id must be a string or an int, got {type(tweet_id).__name__}")
-            tweet_id = str(tweet_id)
+            text, tweet_id = read_field(record, "text"), read_field(record, "id")
             tokens = normalize_tweet(text)
-        except (json.JSONDecodeError, KeyError, TypeError, DegenerateTweetError) as exc:
+        except (json.JSONDecodeError, CorpusError) as exc:
             print(f"warning: skipped line {lineno}: {exc}", file=sys.stderr)
             skipped += 1
             continue
         tweet = Tweet(tweet_id, text, tuple(tokens), "non_traffic", ())
         pred = predict(model, tweet, suppress_non_traffic_spans=args.suppress_non_traffic_spans)
-        out_lines.append(
-            json.dumps(
-                {
-                    "id": tweet_id,
-                    "text": text,
-                    "tokens": tokens,
-                    "label": pred.class_label,
-                    "spans": [
-                        {"type": s.slot_type, "start": s.start, "end": s.end}
-                        for s in pred.spans
-                    ],
-                },
-                ensure_ascii=False,
-            )
-        )
-    output = "\n".join(out_lines) + ("\n" if out_lines else "")
+        out_lines.append(jsonl_line(tweet, pred.class_label, pred.spans))
+    output = "".join(out_lines)
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")
     else:

@@ -402,7 +402,7 @@ def save_corpus(corpus: Corpus, path: str | Path, fmt: str | None = None) -> Non
     path = Path(path)
     fmt = _infer_format(path, fmt)
     if fmt == "jsonl":
-        text = "".join(_tweet_to_jsonl_line(t) for t in corpus)
+        text = "".join(jsonl_line(t, t.class_label, t.spans) for t in corpus)
     else:
         text = "".join(_tweet_to_conll_block(t) for t in corpus)
     path.write_text(text, encoding="utf-8", newline="\n")
@@ -411,8 +411,9 @@ def save_corpus(corpus: Corpus, path: str | Path, fmt: str | None = None) -> Non
 def load_corpus(path: str | Path, fmt: str | None = None) -> Corpus:
     """Load a corpus file.
 
-    A conll tag sequence that breaks the BIO rule (an I- tag without a
-    same-type B-/I- predecessor) is a CorpusFormatError at that token's line.
+    A jsonl field of the wrong JSON type, or a conll tag sequence that breaks the
+    BIO rule (an I- tag without a same-type B-/I- predecessor), is a
+    CorpusFormatError at its line.
     """
     path = Path(path)
     fmt = _infer_format(path, fmt)
@@ -423,17 +424,43 @@ def load_corpus(path: str | Path, fmt: str | None = None) -> Corpus:
     return Corpus(name=path.stem, tweets=tuple(tweets), provenance="loaded")
 
 
-def _tweet_to_jsonl_line(tweet: Tweet) -> str:
-    record = {
-        "id": tweet.id,
-        "text": tweet.raw_text,
-        "tokens": list(tweet.tokens),
-        "label": tweet.class_label,
-        "spans": [
-            {"type": s.slot_type, "start": s.start, "end": s.end} for s in tweet.spans
-        ],
-    }
+def jsonl_line(tweet: Tweet, label: str | None, spans: Sequence[SlotSpan]) -> str:
+    """The jsonl record, newline included, of ``tweet`` with a label and spans:
+    its own, or a model's prediction for it (no label without a classifier)."""
+    spans = [{"type": s.slot_type, "start": s.start, "end": s.end} for s in spans]
+    record = {"id": tweet.id, "text": tweet.raw_text, "tokens": list(tweet.tokens),
+              "label": label, "spans": spans}
     return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _check_tokens(tokens, where: str) -> None:
+    """Raise CorpusError unless every token is a non-empty string without a
+    tab, CR or LF: a token that a conll line can hold."""
+    for tok in tokens:
+        if not isinstance(tok, str) or not tok or any(ch in tok for ch in "\t\n\r"):
+            raise CorpusError(f"{where}: token {tok!r} cannot be written in conll format")
+
+
+# JSON types of the jsonl fields that are not strings; a bool is never an int
+_FIELD_TYPES = {"id": (str, int), "tokens": (list,), "spans": (list,), "start": (int,),
+                "end": (int,)}
+_TYPE_NAMES = {str: "a string", int: "an int", list: "a list"}
+
+
+def read_field(record: object, key: str):
+    """``record[key]`` unchanged if it has the field's JSON type, else a
+    CorpusError naming the field. An int id is read as its decimal string."""
+    if not isinstance(record, dict):
+        raise CorpusError(f"expected an object with field {key!r}, got {type(record).__name__}")
+    if key not in record:
+        raise CorpusError(f"missing field {key!r}")
+    value, types = record[key], _FIELD_TYPES.get(key, (str,))
+    if isinstance(value, bool) or not isinstance(value, types):
+        what = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise CorpusError(f"{key} must be {what}, got {type(value).__name__}")
+    if key == "tokens":
+        _check_tokens(value, key)
+    return str(value) if key == "id" else value
 
 
 def _parse_jsonl(lines: list[str]) -> list[Tweet]:
@@ -446,22 +473,11 @@ def _parse_jsonl(lines: list[str]) -> list[Tweet]:
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"invalid JSON ({exc.msg})", lineno) from exc
         try:
-            missing = [k for k in ("id", "text", "tokens", "label", "spans") if k not in record]
-            if missing:
-                raise CorpusError(f"missing fields {missing}")
-            spans = tuple(
-                SlotSpan(s["type"], int(s["start"]), int(s["end"])) for s in record["spans"]
-            )
-            tweets.append(
-                Tweet(
-                    id=str(record["id"]),
-                    raw_text=str(record["text"]),
-                    tokens=tuple(str(t) for t in record["tokens"]),
-                    class_label=record["label"],
-                    spans=spans,
-                )
-            )
-        except (CorpusError, KeyError, TypeError, ValueError) as exc:
+            values = [read_field(record, k) for k in ("id", "text", "tokens", "label")]
+            spans = [SlotSpan(*(read_field(s, k) for k in ("type", "start", "end")))
+                     for s in read_field(record, "spans")]
+            tweets.append(Tweet(*values, spans))
+        except CorpusError as exc:
             raise CorpusFormatError(str(exc), lineno) from exc
     return tweets
 
@@ -469,61 +485,46 @@ def _parse_jsonl(lines: list[str]) -> list[Tweet]:
 def _tweet_to_conll_block(tweet: Tweet) -> str:
     from . import bio  # deferred: bio depends on this module's types
 
-    for tok in tweet.tokens:
-        if not tok or any(ch in tok for ch in "\t\n\r"):
-            raise CorpusError(
-                f"tweet {tweet.id}: token {tok!r} cannot be written in conll format"
-            )
+    _check_tokens(tweet.tokens, f"tweet {tweet.id}")
     tags = bio.encode_spans(len(tweet.tokens), tweet.spans)
     rows = "".join(f"{tok}\t{tag}\n" for tok, tag in zip(tweet.tokens, tags))
     return f"# label={tweet.class_label}\n{rows}\n"
+
+
+def _conll_tweet(index: int, label: str, tokens: list[str], tags: list[str],
+                 header_line: int) -> Tweet:
+    """The sentence whose header is at ``header_line``, as the index-th tweet."""
+    from . import bio
+
+    if not tokens:
+        raise CorpusFormatError("sentence header without tokens", header_line)
+    violations = bio.validate(tags)
+    if violations:
+        idx, desc = violations[0]
+        raise CorpusFormatError(
+            f"invalid tag sequence ({desc} at token {idx})", header_line + 1 + idx
+        )
+    try:
+        return Tweet(f"s{index:05d}", " ".join(tokens), tuple(tokens), label,
+                     tuple(bio.decode_tags(tags)))
+    except CorpusError as exc:
+        raise CorpusFormatError(str(exc), header_line) from exc
 
 
 def _parse_conll(lines: list[str]) -> list[Tweet]:
     from . import bio
 
     tweets: list[Tweet] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    label: str | None = None
-    header_line = 0
-
-    def flush() -> None:
-        nonlocal tokens, tags, label
-        if label is None:  # token lines cannot precede a header, so nothing is pending
-            return
-        if not tokens:
-            raise CorpusFormatError("sentence header without tokens", header_line)
-        violations = bio.validate(tags)
-        if violations:
-            idx, desc = violations[0]
-            raise CorpusFormatError(
-                f"invalid tag sequence ({desc} at token {idx})", header_line + 1 + idx
-            )
-        spans = tuple(bio.decode_tags(tags))
-        try:
-            tweets.append(
-                Tweet(
-                    id=f"s{len(tweets):05d}",
-                    raw_text=" ".join(tokens),
-                    tokens=tuple(tokens),
-                    class_label=label,
-                    spans=spans,
-                )
-            )
-        except CorpusError as exc:
-            raise CorpusFormatError(str(exc), header_line) from exc
-        tokens, tags, label = [], [], None
-
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("# label="):
-            if label is not None or tokens:
-                flush()
-            label = line[len("# label=") :].strip()
-            header_line = lineno
+    label, header_line, tokens, tags = None, 0, [], []
+    # a blank or header line ends the pending sentence; the appended "" ends the last
+    for lineno, line in enumerate(lines + [""], start=1):
+        is_header = line.startswith("# label=")
+        if is_header or not line.strip():
+            if label is not None:
+                tweets.append(_conll_tweet(len(tweets), label, tokens, tags, header_line))
+            label, tokens, tags = None, [], []
+            if is_header:
+                label, header_line = line[len("# label=") :].strip(), lineno
             continue
         if "\t" not in line:
             raise CorpusFormatError(f"expected 'token<TAB>tag', got {line!r}", lineno)
@@ -537,5 +538,4 @@ def _parse_conll(lines: list[str]) -> list[Tweet]:
             raise CorpusFormatError("token line before any '# label=' header", lineno)
         tokens.append(token)
         tags.append(tag)
-    flush()
     return tweets

@@ -61,11 +61,11 @@ class ExperimentConfig:
     corpus_format: str | None = None
     out_dir: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
-    optimizer: str | None = None  # default per architecture
-    learning_rate: float | None = None
+    optimizer: str | None = None  # None -> DEFAULT_OPTIMIZER
+    learning_rate: float | None = None  # None -> DEFAULT_OPTIMIZER
     batch_size: int = 32
     epoch_candidates: tuple[int, ...] = EPOCH_CANDIDATES
-    clip_norm: float | None = None  # None -> architecture default; 0 disables
+    clip_norm: float | None = None  # None -> 5.0, off (0) for the cnn; 0 disables
     generate_size: int | None = None
     generate_traffic_fraction: float = 0.5
     generate_region: str = "BRU"
@@ -75,6 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        # resolve the defaults first, so a config and its spelled-out twin hash alike
+        default_name, default_lr = DEFAULT_OPTIMIZER[self.architecture]
+        defaults = {"optimizer": default_name, "learning_rate": default_lr,
+                    "clip_norm": 0 if self.architecture == "cnn" else 5.0}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         check_number("seed", self.seed, integer=True, minimum=0)
         check_number("batch_size", self.batch_size, integer=True, minimum=1)
         if not isinstance(self.epoch_candidates, (list, tuple)) or not self.epoch_candidates:
@@ -82,29 +89,16 @@ class ExperimentConfig:
                              f"got {self.epoch_candidates!r}")
         for epochs in self.epoch_candidates:
             check_number("epoch_candidates", epochs, integer=True, minimum=1)
-        if self.optimizer not in (None, "adam", "sgd"):
+        if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         for name in ("learning_rate", "clip_norm"):
-            if getattr(self, name) is not None:
-                check_number(name, getattr(self, name), minimum=0.0)
+            check_number(name, getattr(self, name), minimum=0.0)
         for name in ("corpus", "corpus_format", "out_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.generate_size is not None:
             self.generator_config()  # raises on a mistyped or out-of-range setting
         object.__setattr__(self, "epoch_candidates", tuple(sorted(self.epoch_candidates)))
-
-    def resolved_optimizer(self) -> tuple[str, float]:
-        default_name, default_lr = DEFAULT_OPTIMIZER[self.architecture]
-        return (self.optimizer or default_name,
-                self.learning_rate if self.learning_rate is not None else default_lr)
-
-    def resolved_clip_norm(self) -> float | None:
-        """Gradient-norm ceiling: 5.0 for the recurrent architectures, off
-        for the cnn; an explicit value overrides (0 disables)."""
-        if self.clip_norm is None:
-            return None if self.architecture == "cnn" else 5.0
-        return self.clip_norm if self.clip_norm > 0 else None
 
     def to_flat_dict(self) -> dict:
         out = {}
@@ -233,9 +227,7 @@ def train_model(
         config.architecture, config.model, config.seed, word_vocab, sub_vocab
     )
     kind = model.kind
-    opt_name, lr = config.resolved_optimizer()
-    step = adam_step if opt_name == "adam" else sgd_step
-    clip_norm = config.resolved_clip_norm()
+    step = adam_step if config.optimizer == "adam" else sgd_step
     dropout_rng = np.random.default_rng([config.seed, 7])
     log = RunLog(seed=config.seed, config_hash=config.config_hash(), criterion=CRITERION[kind])
 
@@ -260,8 +252,8 @@ def train_model(
                     )
                 epoch_losses.append(value)
                 backward(mul_const(loss, scale))
-            if clip_norm is not None:
-                norm = clip_global_norm(model.store, clip_norm)
+            if config.clip_norm > 0:
+                norm = clip_global_norm(model.store, config.clip_norm)
             else:
                 norm = global_norm(model.store)
             if not np.isfinite(norm):
@@ -270,7 +262,7 @@ def train_model(
                     f"parameter gradient: {_first_non_finite_gradient(model.store)}"
                 )
             grad_norm_max = max(grad_norm_max, norm)
-            step(model.store, lr)
+            step(model.store, config.learning_rate)
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -31,6 +32,26 @@ from traffictag.models import ModelConfig, WordVocab, build_model, save_checkpoi
 
 def make_tweet(tid, tokens, label=TRAFFIC, spans=()):
     return Tweet(tid, " ".join(tokens), tuple(tokens), label, tuple(spans))
+
+
+@pytest.fixture(scope="module")
+def cnn_checkpoint(tmp_path_factory):
+    model = build_model("cnn", ModelConfig(embed_dim=4, cnn_filters=2), 1,
+                        word_vocab=WordVocab(["file"]))
+    path = tmp_path_factory.mktemp("ckpt") / "cnn.npz"
+    save_checkpoint(model, path)
+    return str(path)
+
+
+GOOD_RECORD = {"id": "1", "text": "file e40", "tokens": ["file", "e40"], "label": "traffic",
+               "spans": [{"type": "what", "start": 0, "end": 1}]}
+
+
+def _record(**changes):
+    record = dict(GOOD_RECORD, **changes)
+    if "span" in changes:
+        record["spans"] = [dict(GOOD_RECORD["spans"][0], **record.pop("span"))]
+    return record
 
 
 class TestNormalize:
@@ -256,6 +277,87 @@ class TestIO:
         save_checkpoint(model, checkpoint)
         assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == 2
         assert f"line {line}: invalid tag sequence ({fault})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record,message", [
+        (_record(text=None), "text must be a string, got NoneType"),
+        (_record(id=[1]), "id must be a string or an int, got list"),
+        (_record(id=True), "id must be a string or an int, got bool"),
+        (_record(tokens=["file", None]), "tokens: token None cannot be written"),
+        (_record(tokens=["file", 40]), "tokens: token 40 cannot be written"),
+        (_record(tokens=["file", ""]), "tokens: token '' cannot be written"),
+        (_record(tokens=["file", "e\t40"]), "tokens: token 'e\\t40' cannot be written"),
+        (_record(tokens="xy"), "tokens must be a list, got str"),
+        (_record(span={"start": 0.9}), "start must be an int, got float"),
+        (_record(span={"start": "0"}), "start must be an int, got str"),
+        (_record(span={"start": False}), "start must be an int, got bool"),
+        (_record(spans={}), "spans must be a list, got dict"),
+        (_record(label=1), "label must be a string, got int"),
+        (_record(span={"type": 3}), "type must be a string, got int"),
+    ], ids=["null-text", "list-id", "bool-id", "null-token", "number-token", "empty-token",
+            "tab-token", "string-tokens", "float-start", "string-start", "bool-start",
+            "object-spans", "int-label", "int-span-type"])
+    def test_mistyped_jsonl_field_rejected(self, tmp_path, capsys, cnn_checkpoint,
+                                           record, message):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(_record(id="0")), json.dumps(record)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"line 2: {message}")
+        assert main(["eval", "--checkpoint", cnn_checkpoint, "--corpus", str(path)]) == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
+
+    def test_int_id_loads_as_its_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(_record(id=7)) + "\n", encoding="utf-8")
+        (tweet,) = load_corpus(path)
+        assert tweet.id == "7"
+        assert tweet == make_tweet("7", ["file", "e40"], spans=[SlotSpan("what", 0, 1)])
+
+    @pytest.mark.parametrize("text,expected", [
+        # a header straight after a token line ends the sentence before it
+        ("# label=traffic\nfile\tB-what\n# label=non_traffic\nweer\tO\n",
+         [("traffic", ("file",), [("what", 0, 1)]), ("non_traffic", ("weer",), [])]),
+        ("# label=traffic\nfile\tB-what\n# label=traffic\nfile\tO\ne40\tI-where\n\n",
+         (5, "invalid tag sequence (stray-I at token 1)")),
+        # no trailing newline
+        ("# label=traffic\nfile\tB-what\ne40\tB-where",
+         [("traffic", ("file", "e40"), [("what", 0, 1), ("where", 1, 2)])]),
+        ("# label=traffic\nfile\tO\ne40\tI-where",
+         (3, "invalid tag sequence (stray-I at token 1)")),
+        # CRLF line endings
+        ("# label=traffic\r\nfile\tB-what\r\ne40\tI-what\r\n\r\n# label=non_traffic\r\nweer\tO\r\n",
+         [("traffic", ("file", "e40"), [("what", 0, 2)]), ("non_traffic", ("weer",), [])]),
+        ("# label=traffic\r\nfile\tO\r\n\r\n# label=traffic\r\nfile\tI-what\r\n",
+         (5, "invalid tag sequence (stray-I at token 0)")),
+        # a header without tokens
+        ("# label=traffic\nfile\tO\n\n# label=traffic\n\n", (4, "sentence header without tokens")),
+        ("# label=traffic\n# label=traffic\nfile\tO\n", (1, "sentence header without tokens")),
+        ("# label=traffic", (1, "sentence header without tokens")),
+        # a token line before any header
+        ("file\tO\n", (1, "token line before any '# label=' header")),
+        ("# label=traffic\nfile\tO\n\ne40\tO\n", (4, "token line before any '# label=' header")),
+        # the tweet itself is checked at its header's line
+        ("\n\n# label=\nfile\tO\n", (3, "tweet s00000: unknown class ''")),
+        ("# label=traffic\nfile\tO\n\n# label=non_traffic\nfile\tB-what\n",
+         (4, "tweet s00001: non_traffic tweet carries spans")),
+    ], ids=["header-after-token", "header-after-token-fault", "no-final-newline",
+            "no-final-newline-fault", "crlf", "crlf-fault", "header-without-tokens",
+            "header-after-header", "lone-header", "token-first", "token-after-blank",
+            "empty-label", "non-traffic-spans"])
+    def test_conll_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "c.conll"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, tuple):
+            line, message = expected
+            with pytest.raises(CorpusFormatError) as err:
+                load_corpus(path)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+            return
+        corpus = load_corpus(path)
+        assert [(t.class_label, t.tokens, [s.key() for s in t.spans]) for t in corpus] == expected
+        assert [t.id for t in corpus] == [f"s{i:05d}" for i in range(len(expected))]
 
     def test_conll_missing_tab(self, tmp_path):
         path = tmp_path / "c.conll"

@@ -80,18 +80,33 @@ class TestExperimentConfig:
         assert config.epoch_candidates == EPOCH_CANDIDATES == (10, 15, 20, 25, 30, 40)
 
     def test_clip_norm_defaults(self):
-        assert ExperimentConfig(architecture="cnn", seed=1).resolved_clip_norm() is None
-        assert ExperimentConfig(architecture="lstm_crf", seed=1).resolved_clip_norm() == 5.0
-        assert ExperimentConfig(architecture="joint", seed=1, clip_norm=0).resolved_clip_norm() is None
-        assert ExperimentConfig(architecture="cnn", seed=1, clip_norm=2.5).resolved_clip_norm() == 2.5
+        assert ExperimentConfig(architecture="cnn", seed=1).clip_norm == 0
+        assert ExperimentConfig(architecture="lstm_crf", seed=1).clip_norm == 5.0
+        assert ExperimentConfig(architecture="joint", seed=1, clip_norm=0).clip_norm == 0
+        assert ExperimentConfig(architecture="cnn", seed=1, clip_norm=2.5).clip_norm == 2.5
 
     def test_default_optimizers(self):
-        assert ExperimentConfig(architecture="cnn", seed=1).resolved_optimizer() == ("adam", 1e-3)
-        assert ExperimentConfig(architecture="lstm_classifier", seed=1).resolved_optimizer() == ("adam", 1e-3)
-        assert ExperimentConfig(architecture="lstm_crf", seed=1).resolved_optimizer() == ("sgd", 0.015)
-        assert ExperimentConfig(architecture="lstm_tagger", seed=1).resolved_optimizer() == ("sgd", 0.015)
-        assert ExperimentConfig(architecture="joint", seed=1).resolved_optimizer() == ("adam", 1e-4)
-        assert ExperimentConfig(architecture="enhanced_joint", seed=1).resolved_optimizer() == ("adam", 1e-4)
+        def optimizer(arch):
+            config = ExperimentConfig(architecture=arch, seed=1)
+            return config.optimizer, config.learning_rate
+
+        assert optimizer("cnn") == ("adam", 1e-3)
+        assert optimizer("lstm_classifier") == ("adam", 1e-3)
+        assert optimizer("lstm_crf") == ("sgd", 0.015)
+        assert optimizer("lstm_tagger") == ("sgd", 0.015)
+        assert optimizer("joint") == ("adam", 1e-4)
+        assert optimizer("enhanced_joint") == ("adam", 1e-4)
+
+    @pytest.mark.parametrize("arch,spelled_out", [
+        ("lstm_crf", dict(optimizer="sgd", learning_rate=0.015, clip_norm=5.0)),
+        ("cnn", dict(optimizer="adam", learning_rate=1e-3, clip_norm=0)),
+    ])
+    def test_defaults_resolved_once(self, arch, spelled_out):
+        implicit = ExperimentConfig(architecture=arch, seed=1)
+        explicit = ExperimentConfig(architecture=arch, seed=1, **spelled_out)
+        assert implicit == explicit
+        assert implicit.config_hash() == explicit.config_hash()
+        assert ExperimentConfig.from_flat_dict(implicit.to_flat_dict()) == implicit
 
 
 class TestTraining:
