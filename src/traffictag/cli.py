@@ -221,7 +221,7 @@ def cmd_predict(args) -> int:
             record = json.loads(line)
             text, tweet_id = read_field(record, "text"), read_field(record, "id")
             tokens = normalize_tweet(text)
-        except (json.JSONDecodeError, CorpusError) as exc:
+        except ValueError as exc:  # a CorpusError, or an unparsable line
             print(f"warning: skipped line {lineno}: {exc}", file=sys.stderr)
             skipped += 1
             continue

@@ -464,14 +464,14 @@ def read_field(record: object, key: str):
 
 
 def _parse_jsonl(lines: list[str]) -> list[Tweet]:
-    tweets = []
+    tweets, first_line = [], {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"invalid JSON ({exc.msg})", lineno) from exc
+        except ValueError as exc:  # also an int literal too long to convert
+            raise CorpusFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from exc
         try:
             values = [read_field(record, k) for k in ("id", "text", "tokens", "label")]
             spans = [SlotSpan(*(read_field(s, k) for k in ("type", "start", "end")))
@@ -479,6 +479,10 @@ def _parse_jsonl(lines: list[str]) -> list[Tweet]:
             tweets.append(Tweet(*values, spans))
         except CorpusError as exc:
             raise CorpusFormatError(str(exc), lineno) from exc
+        first = first_line.setdefault(tweets[-1].id, lineno)
+        if first != lineno:
+            raise CorpusFormatError(
+                f"duplicate tweet id {tweets[-1].id!r} (first at line {first})", lineno)
     return tweets
 
 

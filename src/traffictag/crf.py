@@ -156,21 +156,16 @@ def bio_start_mask(num_tags: int) -> np.ndarray:
     return np.array(_bio_penalty(num_tags))
 
 
-def viterbi(
-    emissions: Tensor | np.ndarray, crf: CrfModel, constrained: bool = False
-) -> tuple[list[int], float]:
+def viterbi(emissions: Tensor, crf: CrfModel,
+            constrained: bool = False) -> tuple[list[int], float]:
     """Highest-scoring tag path and its score.
 
     Ties break toward the lowest tag index at every backtracking step. With
     ``constrained`` set, transitions that would produce an invalid BIO
     bigram (and I- tags at position 0) are masked out.
     """
-    e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=float)
-    if e.ndim != 2 or e.shape[0] < 1:
-        raise ValueError(f"emissions must be non-empty [n, tags], got shape {e.shape}")
-    n, t = e.shape
-    if t != crf.num_tags:
-        raise ValueError(f"emission width {t} != tag count {crf.num_tags}")
+    n, t = _check_emissions(emissions, crf)
+    e = emissions.data
     trans = crf.transitions.data.copy()
     start = crf.start.data.copy()
     if constrained:

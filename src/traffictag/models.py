@@ -192,7 +192,6 @@ class Model:
         self.encoder, self.class_head, self.tag_head, self.enhanced = _PRESETS[architecture]
         self.config = config
         self.seed = seed
-        self.store = ParamStore(np.random.default_rng(seed))
         self.word_vocab: WordVocab | None = None
         self.subword_vocab: subword.SubwordVocab | None = None
         if uses_subwords(architecture, config):
@@ -208,7 +207,7 @@ class Model:
         self._prefix = "enc." if joint else ""
         self._cls = "cls" if joint else "out"
         self._tag = "slot" if joint else "tag"
-        self._add_params()
+        self.store = ParamStore(self._layout())
 
     @property
     def kind(self) -> str:
@@ -216,35 +215,33 @@ class Model:
             return "joint"
         return "classifier" if self.class_head else "tagger"
 
-    def _add_params(self) -> None:
-        config, store, p = self.config, self.store, self._prefix
+    def _layout(self) -> list[tuple[str, tuple[int, ...], str]]:
+        """(name, shape, init kind) of every parameter, in store order."""
+        def affine(name: str, n_in: int, n_out: int, bias: str = "zeros") -> list:
+            return [(f"{name}.w", (n_in, n_out), "uniform"), (f"{name}.b", (n_out,), bias)]
+
+        config, p = self.config, self._prefix
         d = config.embed_dim
         vocab = self.subword_vocab if self.subword_vocab is not None else self.word_vocab
-        store.add(f"{p}emb", (len(vocab), d), "embedding")
+        layout = [(f"{p}emb", (len(vocab), d), "embedding")]
         if self.encoder == "cnn":
-            f = config.cnn_filters
             for w in config.cnn_widths:
-                store.add(f"conv{w}.w", (w * d, f))
-                store.add(f"conv{w}.b", (f,), "zeros")
-            d_tok, d_sent = 0, len(config.cnn_widths) * f
+                layout += affine(f"conv{w}", w * d, config.cnn_filters)
+            d_tok, d_sent = 0, len(config.cnn_widths) * config.cnn_filters
         else:
             h = getattr(config, f"{self.kind}_hidden")
             for direction in ("f", "b"):
-                store.add(f"{p}lstm_{direction}.w", (d + h, 4 * h))
-                b = store.add(f"{p}lstm_{direction}.b", (4 * h,), "zeros")
-                b.data[h : 2 * h] = 1.0  # forget-gate bias
+                layout += affine(f"{p}lstm_{direction}", d + h, 4 * h, "forget_bias")
             d_tok = d_sent = 2 * h
         if self.class_head:
-            store.add(f"{self._cls}.w", (d_sent, len(CLASS_LABELS)))
-            store.add(f"{self._cls}.b", (len(CLASS_LABELS),), "zeros")
+            layout += affine(self._cls, d_sent, len(CLASS_LABELS))
         if self.tag_head:
-            slot_in = d_tok + d_sent if self.enhanced else d_tok
-            store.add(f"{self._tag}.w", (slot_in, bio.NUM_TAGS))
-            store.add(f"{self._tag}.b", (bio.NUM_TAGS,), "zeros")
+            layout += affine(self._tag, d_tok + d_sent if self.enhanced else d_tok, bio.NUM_TAGS)
         if self.tag_head == "crf":
-            store.add("crf.trans", (bio.NUM_TAGS, bio.NUM_TAGS))
-            store.add("crf.start", (bio.NUM_TAGS,))
-            store.add("crf.end", (bio.NUM_TAGS,))
+            layout += [("crf.trans", (bio.NUM_TAGS, bio.NUM_TAGS), "uniform"),
+                       ("crf.start", (bio.NUM_TAGS,), "uniform"),
+                       ("crf.end", (bio.NUM_TAGS,), "uniform")]
+        return layout
 
     def _encode(self, tokens: Sequence[str]) -> tuple[Tensor | None, Tensor | None]:
         """(token states, one row per original token, or None for the cnn;
@@ -364,7 +361,10 @@ def build_model(
     word_vocab: WordVocab | None = None,
     subword_vocab: subword.SubwordVocab | None = None,
 ) -> Model:
-    return Model(architecture, config, seed, word_vocab, subword_vocab)
+    """A model with its seeded initial parameters; loading draws none."""
+    model = Model(architecture, config, seed, word_vocab, subword_vocab)
+    model.store.initialize(np.random.default_rng(seed))
+    return model
 
 
 CHECKPOINT_VERSION = 2
@@ -442,31 +442,30 @@ def _checkpoint_object(data, version: int) -> dict:
 
 
 def _read_archive(f) -> dict:
-    """Format 2: the metadata plus params as {name: (shape, float64 array)}."""
+    """Format 2: the metadata plus params as {name: float64 array}."""
     f.seek(0)
     with np.load(f, allow_pickle=False) as archive:
         if METADATA_MEMBER not in archive.files:
             raise ValueError(f"checkpoint archive has no {METADATA_MEMBER!r} member")
         members = {name: archive[name] for name in archive.files}
-    for name, array in members.items():
-        if not isinstance(array, np.ndarray):  # a member without the npy header
-            raise ValueError(f"checkpoint member {name!r} is not an npy array")
     metadata = members.pop(METADATA_MEMBER)
-    if metadata.shape != () or metadata.dtype.kind != "U":
+    if not isinstance(metadata, np.ndarray) or metadata.shape != () or metadata.dtype.kind != "U":
         raise ValueError("checkpoint metadata is not a 0-d unicode array")
     payload = _checkpoint_object(json.loads(metadata.item()), 2)
     if "params" in payload:
         raise ValueError("checkpoint metadata holds a params field")
     for name, array in members.items():
+        if not isinstance(array, np.ndarray):  # a member without the npy header
+            raise ValueError(f"checkpoint member {name!r} is not an npy array")
         if array.dtype != np.float64:
             raise ValueError(f"checkpoint parameter {name!r} is {array.dtype}, not float64")
     if members:  # an archive of metadata alone lacks the params field
-        payload["params"] = {name: (list(a.shape), a) for name, a in members.items()}
+        payload["params"] = members
     return payload
 
 
 def _read_json(f) -> dict:
-    """Format 1: the payload, its params entries turned into (shape, array)."""
+    """Format 1: the payload, its params entries turned into float64 arrays."""
     f.seek(0)
     payload = _checkpoint_object(json.loads(f.read().decode("utf-8")), 1)
     if "params" not in payload:
@@ -479,7 +478,16 @@ def _read_json(f) -> dict:
             raise ValueError(
                 f"checkpoint parameter {name!r} is not an object of exactly shape and values"
             )
-        params[name] = (entry["shape"], np.asarray(entry["values"]))
+        shape, values = entry["shape"], np.asarray(entry["values"])
+        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+            raise ValueError(  # a bool, or a float equal to an int, is not an int
+                f"checkpoint parameter {name!r} shape {shape!r} is not a list of ints >= 0")
+        if values.dtype.kind not in "fi":
+            raise ValueError(f"checkpoint parameter {name!r} values are not all numbers")
+        try:
+            params[name] = values.astype(np.float64).reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint parameter {name!r} {exc}") from exc
     return payload
 
 
@@ -506,22 +514,16 @@ def _restore(payload: dict) -> Model:
         if payload["subword_vocab"] is not None
         else None
     )
-    model = build_model(payload["architecture"], config, payload["seed"], word_vocab, sub_vocab)
-    params = payload["params"]
-    missing = [name for name in model.store.names() if name not in params]
+    model = Model(payload["architecture"], config, payload["seed"], word_vocab, sub_vocab)
+    params, store = payload["params"], model.store
+    missing = [name for name in store.params if name not in params]
     if missing:
         raise ValueError(f"checkpoint lacks {payload['architecture']} parameters {missing}")
-    for name, (shape, values) in params.items():
-        if name not in model.store:
+    for name, values in params.items():
+        if name not in store.params:
             raise ValueError(f"checkpoint parameter {name!r} unknown to {payload['architecture']}")
-        tensor = model.store[name]
-        # a list of ints (not bools or floats that compare equal) matching the model
-        if (not isinstance(shape, list) or any(type(n) is not int for n in shape)
-                or tuple(shape) != tensor.data.shape):
-            raise ValueError(
-                f"checkpoint parameter {name!r} shape {shape!r} != {list(tensor.data.shape)}"
-            )
-        if values.dtype.kind not in "fi":
-            raise ValueError(f"checkpoint parameter {name!r} values are not all numbers")
-        tensor.data[...] = values.reshape(tensor.data.shape)
+        if values.shape != store[name].data.shape:
+            raise ValueError(f"checkpoint parameter {name!r} shape {list(values.shape)} "
+                             f"!= {list(store[name].data.shape)}")
+    store.restore(params)
     return model

@@ -10,44 +10,41 @@ from .autodiff import Tensor
 
 
 class ParamStore:
-    """Named trainable tensors plus Adam moment state.
+    """Named trainable tensors plus Adam moment state, laid out from (name,
+    shape, init kind) triples with every value zero: ``initialize`` draws the
+    initial values, and ``restore`` copies saved ones in."""
 
-    Weight matrices are initialized uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))
-    with fan_in the first dimension, biases to zero, and embeddings to
-    0.1 * standard normal draws.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+    def __init__(self, layout: list[tuple[str, tuple[int, ...], str]]):
+        self.layout = layout
         self.params: dict[str, Tensor] = {}
+        for name, shape, _ in layout:
+            if name in self.params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            self.params[name] = Tensor(np.zeros(shape))
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t = 0
 
-    def add(self, name: str, shape: tuple[int, ...], init: str = "uniform") -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if init == "uniform":
-            bound = math.sqrt(1.0 / shape[0])
-            data = self.rng.uniform(-bound, bound, size=shape)
-        elif init == "zeros":
-            data = np.zeros(shape)
-        elif init == "embedding":
-            data = self.rng.standard_normal(shape) * 0.1
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        t = Tensor(data)
-        self.params[name] = t
-        return t
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Draw every value from ``rng`` in layout order. Weight matrices
+        ("uniform") take uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) draws with
+        fan_in the first dimension, and embeddings 0.1 * standard normal
+        draws. Biases ("zeros") are zero; an LSTM bias ("forget_bias", its four
+        gates side by side) is one on the forget gate, the second quarter."""
+        for name, shape, init in self.layout:
+            if init == "uniform":
+                bound = math.sqrt(1.0 / shape[0])
+                value = rng.uniform(-bound, bound, size=shape)
+            elif init == "embedding":
+                value = rng.standard_normal(shape) * 0.1
+            else:
+                value = np.zeros(shape)
+                if init == "forget_bias":
+                    value[shape[0] // 4 : shape[0] // 2] = 1.0
+            self.params[name].data = value
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def names(self) -> list[str]:
-        return list(self.params)
 
     def tensors(self) -> list[Tensor]:
         return list(self.params.values())

@@ -249,10 +249,17 @@ class TestLayerContracts:
             embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
 
 
+def _uniform_store(shape, seed):
+    """A store of one uniform-initialized weight ``w``, drawn from ``seed``."""
+    store = ParamStore([("w", shape, "uniform")])
+    store.initialize(np.random.default_rng(seed))
+    return store
+
+
 class TestOptimizers:
     def test_sgd_hand_case(self):
-        store = ParamStore(np.random.default_rng(0))
-        p = store.add("p", (1,), "zeros")
+        store = ParamStore([("p", (1,), "zeros")])
+        p = store["p"]
         p.data[0] = 1.0
         p.grad = np.array([2.0])
         sgd_step(store, lr=0.015)
@@ -261,15 +268,15 @@ class TestOptimizers:
     def test_adam_first_step_magnitude_is_lr(self):
         # holds for any gradient scale well above the stabilizing epsilon
         for scale in (1e-4, 1.0, 1e6):
-            store = ParamStore(np.random.default_rng(0))
-            p = store.add("p", (1,), "zeros")
+            store = ParamStore([("p", (1,), "zeros")])
+            p = store["p"]
             p.grad = np.array([scale])
             adam_step(store, lr=0.01)
             assert abs(p.data[0]) == pytest.approx(0.01, rel=1e-3)
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        store = ParamStore(np.random.default_rng(0))
-        p = store.add("p", (3,))
+        store = _uniform_store((3,), seed=0)
+        p = store["w"]
         before = p.data.copy()
         p.grad = np.zeros(3)
         adam_step(store, lr=0.1)
@@ -277,18 +284,18 @@ class TestOptimizers:
         assert np.array_equal(p.data, before)
 
     def test_clip_global_norm(self):
-        store = ParamStore(np.random.default_rng(0))
-        p = store.add("p", (2,), "zeros")
+        store = ParamStore([("p", (2,), "zeros")])
+        p = store["p"]
         p.grad = np.array([3.0, 4.0])
         norm = clip_global_norm(store, 1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0)
 
     def test_init_deterministic(self):
-        a = ParamStore(np.random.default_rng(42)).add("w", (4, 5))
-        b = ParamStore(np.random.default_rng(42)).add("w", (4, 5))
+        a = _uniform_store((4, 5), seed=42)["w"]
+        b = _uniform_store((4, 5), seed=42)["w"]
         assert np.array_equal(a.data, b.data)
 
     def test_uniform_init_bound(self):
-        w = ParamStore(np.random.default_rng(1)).add("w", (16, 8))
+        w = _uniform_store((16, 8), seed=1)["w"]
         assert np.all(np.abs(w.data) <= math.sqrt(1 / 16))

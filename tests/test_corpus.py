@@ -293,13 +293,18 @@ class TestIO:
         (_record(spans={}), "spans must be a list, got dict"),
         (_record(label=1), "label must be a string, got int"),
         (_record(span={"type": 3}), "type must be a string, got int"),
+        # the first line's id is "0", and an int id reads as its decimal string
+        (_record(id=0), "duplicate tweet id '0' (first at line 1)"),
+        # json.loads raises a plain ValueError past the int-string digit limit
+        ('{"id": ' + "1" * 5000 + "}", "invalid JSON (Exceeds the limit (4300 digits)"),
     ], ids=["null-text", "list-id", "bool-id", "null-token", "number-token", "empty-token",
             "tab-token", "string-tokens", "float-start", "string-start", "bool-start",
-            "object-spans", "int-label", "int-span-type"])
+            "object-spans", "int-label", "int-span-type", "duplicate-id", "over-long-int"])
     def test_mistyped_jsonl_field_rejected(self, tmp_path, capsys, cnn_checkpoint,
                                            record, message):
         path = tmp_path / "c.jsonl"
-        lines = [json.dumps(_record(id="0")), json.dumps(record)]
+        lines = [json.dumps(_record(id="0")),
+                 record if isinstance(record, str) else json.dumps(record)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(path)

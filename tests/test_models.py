@@ -337,7 +337,7 @@ class TestCheckpoints:
             save_checkpoint(model, path)
             assert list(path.parent.iterdir()) == [path]
             again = load_checkpoint(path)
-            for name in model.store.names():
+            for name in model.store.params:
                 assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
             save_checkpoint(again, path.with_name("again.npz"))
             assert path.with_name("again.npz").read_bytes() == path.read_bytes()
@@ -357,6 +357,33 @@ class TestCheckpoints:
         v1 = tmp_path / "ckpt.json"
         v1.write_text(json.dumps(damage({**payload, "format_version": 1})))
         return archive, v1
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_load_draws_no_initial_values(self, arch, word_vocab, sub_vocab, tmp_path,
+                                          monkeypatch):
+        """Both formats fill the parameters from the file alone: loading makes
+        no random generator, and every array is the saved one bit for bit."""
+        model = build_model(arch, SMALL, seed=13, word_vocab=word_vocab, subword_vocab=sub_vocab)
+        paths = self._damaged_copies(model, tmp_path, lambda p: p)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("loading a checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for path in paths:
+            loaded = load_checkpoint(path)
+            assert list(loaded.store.params) == list(model.store.params)
+            for name, tensor in model.store.params.items():
+                assert loaded.store[name].data.dtype == np.float64
+                assert loaded.store[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_format1_negative_dimension_rejected(self, word_vocab, tmp_path):
+        """numpy's reshape would infer a -1 dimension from the value count."""
+        model = build_model("cnn", SMALL, seed=1, word_vocab=word_vocab)
+        _, v1 = self._damaged_copies(model, tmp_path, lambda p: {**p, "params": {
+            **p["params"], "emb": {**p["params"]["emb"], "shape": [-1, 6]}}})
+        with pytest.raises(ValueError, match=r"'emb' shape \[-1, 6\] is not a list of ints >= 0"):
+            load_checkpoint(v1)
 
     def test_tag_order_mismatch_rejected(self, word_vocab, tmp_path):
         model = build_model("lstm_tagger", SMALL, seed=1, word_vocab=word_vocab)
@@ -400,8 +427,8 @@ class TestCheckpoints:
         model = load_checkpoint(DATA / f"v1_{arch}.json")
         save_checkpoint(model, tmp_path / "v2.npz")
         again = load_checkpoint(tmp_path / "v2.npz")
-        assert again.store.names() == model.store.names()
-        for name in model.store.names():
+        assert list(again.store.params) == list(model.store.params)
+        for name in model.store.params:
             assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
         _assert_pinned_predictions(again, arch)
 

@@ -129,7 +129,7 @@ class TestTraining:
             runs.append((model, report))
         (model_a, rep_a), (model_b, rep_b) = runs
         assert rep_a == rep_b
-        for name in model_a.store.names():
+        for name in model_a.store.params:
             assert np.array_equal(model_a.store[name].data, model_b.store[name].data)
 
     def test_divergence_detected(self, splits, monkeypatch):
@@ -342,7 +342,8 @@ class TestCli:
         (_config(cnn_widths="345"), "cnn_widths must be a non-empty list, got '345'"),
         (_config(dropout="0.2"), "dropout must be a number"),
         (_config(constrained_decode=1), "constrained_decode must be a bool"),
-        (_emb(shape=5), r"parameter 'emb' shape 5 != \[\d+, 12\]"),
+        (_emb(shape=5), "parameter 'emb' shape 5 is not a list of ints >= 0"),
+        (_emb(shape=[5]), r"parameter 'emb' cannot reshape array of size \d+ into shape \(5,\)"),
         (_emb(values={}), "parameter 'emb' values are not all numbers"),
         (lambda p: {**p, "seed": "s"}, "checkpoint seed must be an int >= 0, got 's'"),
         (lambda p: {**p, "word_vocab": 5}, "checkpoint word_vocab is not a list of strings"),
@@ -419,6 +420,9 @@ class TestCli:
         ('{"id": true, "text": "file e40"}', "id must be a string or an int, got bool"),
         ('{"id": null, "text": "file e40"}', "id must be a string or an int, got NoneType"),
         ('{"id": 1.5, "text": "file e40"}', "id must be a string or an int, got float"),
+        # json.loads raises a plain ValueError past the int-string digit limit
+        pytest.param('{"id": ' + "1" * 5000 + ', "text": "x"}', "Exceeds the limit (4300 digits)",
+                     id="over-long-int-id"),
     ])
     def test_predict_skips_mistyped_lines(self, tmp_path, capsys, line, message):
         checkpoint, _, _ = self._untrained_checkpoint(tmp_path, "cnn")
