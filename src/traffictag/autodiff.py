@@ -46,26 +46,18 @@ def _accum(t: Tensor, g: Array) -> None:
     t.grad += g
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient down to ``shape`` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Elementwise and structural ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data, (a, b))
 
     def bw(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     out._backward = bw
     return out
@@ -77,31 +69,10 @@ def mul_const(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """A row vector or a matrix of rows times a matrix."""
-    if a.ndim not in (1, 2) or b.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def bw(g: Array) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, np.outer(a.data, g) if a.ndim == 1 else a.data.T @ g)
-
-    out._backward = bw
-    return out
-
-
 def _sigmoid_nd(z: Array) -> Array:
     # overflow-safe logistic: exp only ever sees non-positive arguments
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0), (x,))
-    out._backward = lambda g: _accum(x, g * mask)
-    return out
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -108,7 +108,10 @@ def _load_experiment_config(args) -> ExperimentConfig:
     path = Path(args.config)
     if not path.exists():
         raise CorpusError(f"config file not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config is a JSON {type(data).__name__}, not an object")
     if args.seed is not None:
@@ -221,7 +224,7 @@ def cmd_predict(args) -> int:
             record = json.loads(line)
             text, tweet_id = read_field(record, "text"), read_field(record, "id")
             tokens = normalize_tweet(text)
-        except ValueError as exc:  # a CorpusError, or an unparsable line
+        except (ValueError, RecursionError) as exc:  # a CorpusError, or an unparsable line
             print(f"warning: skipped line {lineno}: {exc}", file=sys.stderr)
             skipped += 1
             continue

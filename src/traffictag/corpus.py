@@ -470,7 +470,7 @@ def _parse_jsonl(lines: list[str]) -> list[Tweet]:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:  # also an int literal too long to convert
+        except (ValueError, RecursionError) as exc:  # also too long an int, or too deep
             raise CorpusFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from exc
         try:
             values = [read_field(record, k) for k in ("id", "text", "tokens", "label")]

@@ -1,8 +1,9 @@
 """Neural building blocks on top of the autodiff core.
 
-Hot-path primitives (embedding lookup, windowed convolution, LSTM sequence
-runs, softmax cross-entropy) carry hand-written backward passes in a single
-op so that a sentence costs a handful of graph nodes instead of hundreds.
+Hot-path primitives (affine heads, embedding lookup, the CNN encoder's
+convolution with ReLU and max-over-time pooling, LSTM sequence runs, softmax
+cross-entropy) carry hand-written backward passes in a single op so that a
+sentence costs a handful of graph nodes instead of hundreds.
 All of them are covered by the finite-difference checker in the test suite.
 """
 
@@ -12,12 +13,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Array, Tensor, _accum, _sigmoid_nd, add, concat, matmul, take_rows
+from .autodiff import Array, Tensor, _accum, _sigmoid_nd, concat, take_rows
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a row vector or a matrix of rows."""
-    return add(matmul(x, w), b)
+    if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out = Tensor(x.data @ w.data + b.data, (x, w, b))
+
+    def bw(g: Array) -> None:
+        _accum(x, g @ w.data.T)
+        _accum(w, np.outer(x.data, g) if x.ndim == 1 else x.data.T @ g)
+        _accum(b, g if x.ndim == 1 else g.sum(axis=0))
+
+    out._backward = bw
+    return out
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -30,11 +41,13 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return take_rows(table, idx)
 
 
-def conv_window(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Windowed 1D convolution over token rows.
+def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Windowed 1D convolution over token rows, ReLU, then max-over-time
+    pooling: each filter's best window score, floored at +0.0.
 
     ``x`` is [n, d], ``w`` is [width * d, filters], ``b`` is [filters]; the
-    output is [n - width + 1, filters], one row per window position.
+    output is [filters]. The gradient reaches only the earliest best window,
+    and only where its score is positive.
     """
     n, d = x.data.shape
     wd, filters = w.data.shape
@@ -47,12 +60,17 @@ def conv_window(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     windows = np.empty((positions, wd))
     for j in range(width):
         windows[:, j * d : (j + 1) * d] = x.data[j : j + positions]
-    out = Tensor(windows @ w.data + b.data, (x, w, b))
+    scores = windows @ w.data + b.data
+    best, cols = scores.argmax(axis=0), np.arange(filters)
+    top = scores[best, cols]
+    out = Tensor(np.where(top > 0, top, 0.0), (x, w, b))
 
     def bw(g: Array) -> None:
-        _accum(w, windows.T @ g)
-        _accum(b, g.sum(axis=0))
-        gwin = g @ w.data.T
+        gs = np.zeros_like(scores)
+        gs[best, cols] = np.where(top > 0, g, 0.0)
+        _accum(w, windows.T @ gs)
+        _accum(b, gs.sum(axis=0))
+        gwin = gs @ w.data.T
         gx = np.zeros_like(x.data)
         for j in range(width):
             gx[j : j + positions] += gwin[:, j * d : (j + 1) * d]
@@ -66,22 +84,6 @@ def tile_rows(x: Tensor, n: int) -> Tensor:
     """Repeat a vector as n identical rows; the gradient sums back over rows."""
     out = Tensor(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,))
     out._backward = lambda g: _accum(x, g.sum(axis=0))
-    return out
-
-
-def max_pool_over_time(x: Tensor) -> Tensor:
-    """Columnwise max over the time axis of [n, features]; ties route to the
-    earliest position."""
-    arg = x.data.argmax(axis=0)
-    cols = np.arange(x.data.shape[1])
-    out = Tensor(x.data[arg, cols], (x,))
-
-    def bw(g: Array) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[arg, cols] += g
-
-    out._backward = bw
     return out
 
 

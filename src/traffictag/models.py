@@ -45,15 +45,14 @@ from typing import Sequence
 import numpy as np
 
 from . import bio, crf as crf_mod, subword
-from .autodiff import Tensor, add, concat, relu, take_rows
+from .autodiff import Tensor, add, concat, take_rows
 from .corpus import CLASS_LABELS, NON_TRAFFIC, TRAFFIC, Corpus, SlotSpan, Tweet, check_number
 from .layers import (
     affine,
     bilstm,
-    conv_window,
+    conv_max_pool,
     dropout,
     embedding_lookup,
-    max_pool_over_time,
     softmax_probs,
     softmax_xent,
     tile_rows,
@@ -256,11 +255,8 @@ class Model:
             ids = ids + [self.word_vocab.stoi[WordVocab.PAD]] * short
         x = embedding_lookup(store[f"{p}emb"], ids)
         if self.encoder == "cnn":
-            pooled = [
-                max_pool_over_time(relu(conv_window(x, store[f"conv{w}.w"], store[f"conv{w}.b"])))
-                for w in self.config.cnn_widths
-            ]
-            return None, concat(pooled)
+            return None, concat([conv_max_pool(x, store[f"conv{w}.w"], store[f"conv{w}.b"])
+                                 for w in self.config.cnn_widths])
         states, hf, hb = bilstm(
             x, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
             store[f"{p}lstm_b.w"], store[f"{p}lstm_b.b"],
@@ -478,13 +474,14 @@ def _read_json(f) -> dict:
             raise ValueError(
                 f"checkpoint parameter {name!r} is not an object of exactly shape and values"
             )
-        shape, values = entry["shape"], np.asarray(entry["values"])
+        shape = entry["shape"]
         if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
             raise ValueError(  # a bool, or a float equal to an int, is not an int
                 f"checkpoint parameter {name!r} shape {shape!r} is not a list of ints >= 0")
-        if values.dtype.kind not in "fi":
-            raise ValueError(f"checkpoint parameter {name!r} values are not all numbers")
-        try:
+        try:  # a ragged nested list fails in asarray
+            values = np.asarray(entry["values"])
+            if values.dtype.kind not in "fi":
+                raise ValueError("values are not all numbers")
             params[name] = values.astype(np.float64).reshape(shape)
         except ValueError as exc:
             raise ValueError(f"checkpoint parameter {name!r} {exc}") from exc

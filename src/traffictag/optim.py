@@ -46,9 +46,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def tensors(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None

@@ -15,18 +15,15 @@ from traffictag.autodiff import (
     backward,
     concat,
     grad_check,
-    matmul,
-    relu,
     take_rows,
 )
 from traffictag.layers import (
     affine,
     bilstm,
-    conv_window,
+    conv_max_pool,
     dropout,
     embedding_lookup,
     lstm_seq,
-    max_pool_over_time,
     softmax_probs,
     softmax_xent,
     tile_rows,
@@ -79,14 +76,14 @@ class TestBackward:
     def test_quadratic_gradient(self):
         rng = np.random.default_rng(1)
         w = Tensor(rng.standard_normal((3, 3)))
-        backward(project(matmul(w, w)))
+        backward(project(affine(w, w, Tensor(np.zeros(3)))))
         r = cotangent((3, 3))
         # d<w @ w, R>/dw = R @ w^T + w^T @ R
         assert np.allclose(w.grad, r @ w.data.T + w.data.T @ r)
 
     def test_accumulation_without_zeroing_doubles(self):
         w = Tensor(np.random.default_rng(2).standard_normal((2, 2)))
-        loss = project(matmul(w, w))
+        loss = project(affine(w, w, Tensor(np.zeros(2))))
         backward(loss)
         once = w.grad.copy()
         backward(loss)
@@ -115,20 +112,18 @@ class TestGradCheckPerOp:
     def t(self, *shape):
         return Tensor(self.rng.standard_normal(shape))
 
-    def test_add_broadcast(self):
-        a, b = self.t(4, 3), self.t(3)
+    def test_add_same_shape(self):
+        a, b = self.t(4, 3), self.t(4, 3)
         assert _gc(lambda: project(add(a, b)), a, b) < 1e-6
+        with pytest.raises(ValueError, match=r"\(4, 3\) \+ \(3,\)"):
+            add(a, self.t(3))  # no broadcasting
 
-    def test_matmul_all_arities(self):
-        a, b, v = self.t(4, 3), self.t(3, 5), self.t(3)
-        assert _gc(lambda: project(matmul(a, b)), a, b) < 1e-6
-        assert _gc(lambda: project(matmul(v, b)), v, b) < 1e-6
+    def test_affine_both_arities(self):
+        a, w, b, v = self.t(4, 3), self.t(3, 5), self.t(5), self.t(3)
+        assert _gc(lambda: project(affine(a, w, b)), a, w, b) < 1e-6
+        assert _gc(lambda: project(affine(v, w, b)), v, w, b) < 1e-6
         with pytest.raises(ValueError, match="mismatch"):
-            matmul(a, v)  # only a matrix on the right
-
-    def test_activations(self):
-        x = Tensor(self.rng.uniform(0.2, 2.0, (4, 3)) * np.sign(self.rng.standard_normal((4, 3))))
-        assert _gc(lambda: project(relu(x)), x) < 1e-6  # inputs bounded away from 0
+            affine(a, v, b)  # only a matrix of weights
 
     def test_concat(self):
         a, b = self.t(2, 3), self.t(4, 3)
@@ -156,7 +151,10 @@ class TestGradCheckPerOp:
     def test_conv_and_pool(self):
         x = self.t(6, 3)
         w, b = self.t(9, 4), self.t(4)  # width 3
-        assert _gc(lambda: project(max_pool_over_time(conv_window(x, w, b))), x, w, b) < 1e-4
+        b.data[0] = -50.0  # filter 0's best window scores below 0: no output, no gradient
+        out = conv_max_pool(x, w, b).data
+        assert out[0] == 0.0 and np.all(out[1:] > 0)
+        assert _gc(lambda: project(conv_max_pool(x, w, b)), x, w, b) < 1e-4
 
     def test_softmax_xent_ops(self):
         z = self.t(5)
@@ -192,17 +190,26 @@ class TestGradCheckPerOp:
 
 class TestLayerContracts:
     def test_max_pool_hand_case(self):
-        out = max_pool_over_time(Tensor([[1.0, 3.0], [2.0, 0.0]]))
-        assert out.data.tolist() == [2.0, 3.0]
+        # width 1: filter 0 scores x, tied at windows 1 and 2; filter 1 scores
+        # -x - 2.5, at most -0.5, so its output is 0 and it passes no gradient
+        x = Tensor([[1.0], [3.0], [3.0], [-2.0]])
+        w, b = Tensor([[1.0, -1.0]]), Tensor([0.0, -2.5])
+        out = conv_max_pool(x, w, b)
+        assert out.data.tolist() == [3.0, 0.0] and not np.signbit(out.data[1])
+        backward(project(out))
+        r0 = cotangent((2,))[0]
+        assert x.grad.tolist() == [[0.0], [r0], [0.0], [0.0]]  # the earliest best window
+        assert w.grad.tolist() == [[3.0 * r0, 0.0]]
+        assert b.grad.tolist() == [r0, 0.0]
 
     def test_conv_positions(self):
         x = Tensor(np.zeros((5, 2)))
         w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros(4))  # width 3
-        assert conv_window(x, w, b).shape == (3, 4)
+        assert conv_max_pool(x, w, b).shape == (4,)
 
     def test_conv_too_short(self):
         with pytest.raises(ValueError):
-            conv_window(Tensor(np.zeros((2, 2))), Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
+            conv_max_pool(Tensor(np.zeros((2, 2))), Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):

@@ -297,9 +297,12 @@ class TestIO:
         (_record(id=0), "duplicate tweet id '0' (first at line 1)"),
         # json.loads raises a plain ValueError past the int-string digit limit
         ('{"id": ' + "1" * 5000 + "}", "invalid JSON (Exceeds the limit (4300 digits)"),
+        # and RecursionError, which is not a ValueError, on deep nesting
+        ("[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
     ], ids=["null-text", "list-id", "bool-id", "null-token", "number-token", "empty-token",
             "tab-token", "string-tokens", "float-start", "string-start", "bool-start",
-            "object-spans", "int-label", "int-span-type", "duplicate-id", "over-long-int"])
+            "object-spans", "int-label", "int-span-type", "duplicate-id", "over-long-int",
+            "deep-nesting"])
     def test_mistyped_jsonl_field_rejected(self, tmp_path, capsys, cnn_checkpoint,
                                            record, message):
         path = tmp_path / "c.jsonl"

@@ -107,6 +107,8 @@ def _corpus_line_mutant(rng: random.Random, line: str, conll: bool) -> str:
             f"\t{tag}",  # drop the token
             f"{token}\t{tag}\textra",
         ])
+    if rng.random() < 0.1:  # nested deeper than json.loads can recurse
+        return "[" * 100_000
     record = json.loads(line)
     if record["spans"] and rng.random() < 0.3:
         span = rng.choice(record["spans"])
@@ -142,7 +144,13 @@ def test_checkpoint_json_mutants(base, tmp_path, capsys):
             if i % 4 == 3:
                 target.write_bytes(_damage_bytes(rng, text.encode()))
             else:
-                target.write_text(json.dumps(_mutate_json(rng, json.loads(text))))
+                payload = json.loads(text)
+                if rng.random() < 0.2:  # ragged values: a list of a list and a list of lists
+                    entry = payload["params"][rng.choice(sorted(payload["params"]))]
+                    entry["values"] = [entry["values"], [[0.0]]]
+                else:
+                    payload = _mutate_json(rng, payload)
+                target.write_text(json.dumps(payload))
             verb = ["predict", "--input", base.raw] if i % 2 else ["eval", "--corpus", base.jsonl]
             _exits_cleanly(verb + ["--checkpoint", target], capsys)
 

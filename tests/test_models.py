@@ -67,7 +67,7 @@ def tweet(corpus):
 
 
 def zero_params(model):
-    for t in model.store.tensors():
+    for t in model.store.params.values():
         t.data[...] = 0.0
     return model
 
@@ -322,7 +322,7 @@ class TestPredictGlue:
         for arch in ("cnn", "lstm_crf", "enhanced_joint"):
             model = build_model(arch, SMALL, seed=12,
                                 word_vocab=word_vocab, subword_vocab=sub_vocab)
-            err = grad_check(lambda: model.loss(short), model.store.tensors())
+            err = grad_check(lambda: model.loss(short), model.store.params.values())
             assert err < 1e-4, arch
 
 

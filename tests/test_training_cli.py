@@ -345,6 +345,7 @@ class TestCli:
         (_emb(shape=5), "parameter 'emb' shape 5 is not a list of ints >= 0"),
         (_emb(shape=[5]), r"parameter 'emb' cannot reshape array of size \d+ into shape \(5,\)"),
         (_emb(values={}), "parameter 'emb' values are not all numbers"),
+        (_emb(values=[[1.0, 2.0], [3.0]]), "parameter 'emb' .*inhomogeneous shape"),
         (lambda p: {**p, "seed": "s"}, "checkpoint seed must be an int >= 0, got 's'"),
         (lambda p: {**p, "word_vocab": 5}, "checkpoint word_vocab is not a list of strings"),
         (lambda p: {**p, "architecture": []}, r"unknown architecture \[\]"),
@@ -423,6 +424,8 @@ class TestCli:
         # json.loads raises a plain ValueError past the int-string digit limit
         pytest.param('{"id": ' + "1" * 5000 + ', "text": "x"}', "Exceeds the limit (4300 digits)",
                      id="over-long-int-id"),
+        # json.loads raises RecursionError, not a ValueError, on deep nesting
+        pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep-nesting"),
     ])
     def test_predict_skips_mistyped_lines(self, tmp_path, capsys, line, message):
         checkpoint, _, _ = self._untrained_checkpoint(tmp_path, "cnn")
@@ -486,6 +489,16 @@ class TestCli:
         path.write_text("[]")
         assert main(["train", "--config", str(path), "--seed", "1"]) == 2
         assert "config is a JSON list, not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("{", "invalid JSON (Expecting property name"),
+        ("[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+    ], ids=["unparsable", "deep-nesting"])
+    def test_train_config_unparsable_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--seed", "1"]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path):
         config_path = self._write_config(tmp_path, generate_size=60)
