@@ -1,10 +1,10 @@
 """Neural building blocks on top of the autodiff core.
 
 Hot-path primitives (affine heads, embedding lookup, the CNN encoder's
-convolution with ReLU and max-over-time pooling, LSTM sequence runs, softmax
-cross-entropy) carry hand-written backward passes in a single op so that a
-sentence costs a handful of graph nodes instead of hundreds.
-All of them are covered by the finite-difference checker in the test suite.
+convolution, ReLU and max-over-time pooling, LSTM runs whose input projection
+is one GEMM outside the recurrence, softmax cross-entropy) carry hand-written
+backward passes in a single op so that a sentence costs a handful of graph
+nodes instead of hundreds. The tests' finite-difference checker covers each.
 """
 
 from __future__ import annotations
@@ -148,58 +148,57 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
     input, forget, cell, output; ``b`` is [4 * hidden]. Output row t is the
     hidden state produced at position t; for a reversed run that is the
     state after reading tokens n-1 .. t.
+
+    ``x @ w[:d] + b`` is hoisted out of the recurrence, which does one
+    ``h @ w[d:]`` per token. The backward loop carries only ``dh`` and ``dc``
+    and fills the gate gradient ``dz`` [n, 4 * hidden] row by row; then
+    ``dx = dz @ w[:d]ᵀ``, ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ_t dz``.
     """
     n, d = x.data.shape
     four_h = b.data.shape[0]
     hidden = four_h // 4
     if w.data.shape != (d + hidden, four_h):
         raise ValueError(f"lstm weight shape {w.shape} != {(d + hidden, four_h)}")
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    xs = x.data[::-1] if reverse else x.data  # reading order: step s reads row n-1-s if reversed
+    wx, wh = w.data[:d], w.data[d:]
+    i_, f_, c_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    z = xs @ wx + b.data
+    gates = np.empty((n, four_h))  # sigmoid of z, except tanh on the cell slice
+    cells = np.zeros((n + 1, hidden))  # row s + 1 is the state after step s, row 0 the start
+    hs = np.zeros((n + 1, hidden))
+    tanh_c = np.empty((n, hidden))
+    for s in range(n):
+        z[s] += hs[s] @ wh
+        gates[s] = _sigmoid_nd(z[s])
+        g = gates[s]
+        np.tanh(z[s, c_], out=g[c_])
+        np.add(g[f_] * cells[s], g[i_] * g[c_], out=cells[s + 1])
+        np.tanh(cells[s + 1], out=tanh_c[s])
+        np.multiply(g[o_], tanh_c[s], out=hs[s + 1])
 
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    y = np.empty((n, hidden))
-    cache = []
-    wd, bd = w.data, b.data
-    for t in order:
-        xh = np.concatenate((x.data[t], h))
-        z = xh @ wd + bd
-        gi = _sigmoid_nd(z[:hidden])
-        gf = _sigmoid_nd(z[hidden : 2 * hidden])
-        gc = np.tanh(z[2 * hidden : 3 * hidden])
-        go = _sigmoid_nd(z[3 * hidden :])
-        c_prev = c
-        c = gf * c_prev + gi * gc
-        tc = np.tanh(c)
-        h = go * tc
-        y[t] = h
-        cache.append((t, xh, gi, gf, gc, go, c_prev, tc))
+    out = Tensor(np.ascontiguousarray(hs[:0:-1] if reverse else hs[1:]), (x, w, b))
 
-    out = Tensor(y, (x, w, b))
-
-    def bw(g: Array) -> None:
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
-        dx = np.zeros_like(x.data)
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        dz = np.empty(four_h)
-        for t, xh, gi, gf, gc, go, c_prev, tc in reversed(cache):
-            dh = g[t] + dh_next
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            dz[:hidden] = dc * gc * gi * (1.0 - gi)
-            dz[hidden : 2 * hidden] = dc * c_prev * gf * (1.0 - gf)
-            dz[2 * hidden : 3 * hidden] = dc * gi * (1.0 - gc * gc)
-            dz[3 * hidden :] = dh * tc * go * (1.0 - go)
-            dw += np.outer(xh, dz)
-            db += dz
-            dxh = wd @ dz
-            dx[t] += dxh[:d]
-            dh_next = dxh[d:]
-            dc_next = dc * gf
-        _accum(x, dx)
-        _accum(w, dw)
-        _accum(b, db)
+    def bw(grad: Array) -> None:
+        gy = grad[::-1] if reverse else grad
+        gi, gf, gc, go = gates[:, i_], gates[:, f_], gates[:, c_], gates[:, o_]
+        # step s: dc += dh * h_to_c; dz is dc * gate_coef on i, f, c and dh * out_coef on o
+        h_to_c = go * (1.0 - tanh_c * tanh_c)
+        gate_coef = np.stack((gc * gi * (1.0 - gi), cells[:-1] * gf * (1.0 - gf),
+                              gi * (1.0 - gc * gc)), axis=1)
+        out_coef = tanh_c * go * (1.0 - go)
+        dz = np.empty((n, four_h))
+        dh_next = dc_next = np.zeros(hidden)
+        for s in range(n - 1, -1, -1):
+            dh = gy[s] + dh_next
+            dc = dc_next + dh * h_to_c[s]
+            np.multiply(gate_coef[s], dc, out=dz[s, : 3 * hidden].reshape(3, hidden))
+            np.multiply(dh, out_coef[s], out=dz[s, o_])
+            dh_next = wh @ dz[s]
+            dc_next = dc * gf[s]
+        dx = dz @ wx.T
+        _accum(x, dx[::-1] if reverse else dx)
+        _accum(w, np.vstack((xs.T @ dz, hs[:-1].T @ dz)))
+        _accum(b, dz.sum(axis=0))
 
     out._backward = bw
     return out

@@ -478,9 +478,10 @@ def _read_json(f) -> dict:
         if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
             raise ValueError(  # a bool, or a float equal to an int, is not an int
                 f"checkpoint parameter {name!r} shape {shape!r} is not a list of ints >= 0")
-        try:  # a ragged nested list fails in asarray
+        try:  # asarray fails on a ragged nested list and reads a bool among numbers as 1 or 0
             values = np.asarray(entry["values"])
-            if values.dtype.kind not in "fi":
+            flat = np.asarray(entry["values"], dtype=object).flat  # the JSON scalars, bools kept
+            if values.dtype.kind not in "fi" or any(type(v) is bool for v in flat):
                 raise ValueError("values are not all numbers")
             params[name] = values.astype(np.float64).reshape(shape)
         except ValueError as exc:

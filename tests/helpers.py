@@ -1,6 +1,7 @@
 """Shared generators for randomized property tests, the grad checks'
-random-cotangent reducer, the metric report's schema oracle, and a
-checkpoint archive's payload reader and writer for damage tests."""
+random-cotangent reducer, the per-token LSTM loop that ``lstm_seq`` is
+checked against, the metric report's schema oracle, and a checkpoint
+archive's payload reader and writer for damage tests."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 
 import numpy as np
 
-from traffictag.autodiff import Tensor, _accum
+from traffictag.autodiff import Tensor, _accum, _sigmoid_nd
 from traffictag.bio import TAGS
 from traffictag.corpus import SLOT_TYPES, SlotSpan
 from traffictag.models import METADATA_MEMBER
@@ -52,6 +53,65 @@ def project(x: Tensor, seed: int = 0) -> Tensor:
     return out
 
 
+def lstm_seq_reference(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """``layers.lstm_seq`` as a plain per-token loop: each step multiplies
+    the whole weight by ``concat(x_t, h)``, and the backward adds one outer
+    product per token into ``w``'s gradient. The test reference for the
+    hoisted op, which reorders this arithmetic."""
+    n, d = x.data.shape
+    four_h = b.data.shape[0]
+    hidden = four_h // 4
+    order = range(n - 1, -1, -1) if reverse else range(n)
+
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    y = np.empty((n, hidden))
+    cache = []
+    wd, bd = w.data, b.data
+    for t in order:
+        xh = np.concatenate((x.data[t], h))
+        z = xh @ wd + bd
+        gi = _sigmoid_nd(z[:hidden])
+        gf = _sigmoid_nd(z[hidden : 2 * hidden])
+        gc = np.tanh(z[2 * hidden : 3 * hidden])
+        go = _sigmoid_nd(z[3 * hidden :])
+        c_prev = c
+        c = gf * c_prev + gi * gc
+        tc = np.tanh(c)
+        h = go * tc
+        y[t] = h
+        cache.append((t, xh, gi, gf, gc, go, c_prev, tc))
+
+    out = Tensor(y, (x, w, b))
+
+    def bw(g: np.ndarray) -> None:
+        dw = np.zeros_like(wd)
+        db = np.zeros_like(bd)
+        dx = np.zeros_like(x.data)
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        dz = np.empty(four_h)
+        for t, xh, gi, gf, gc, go, c_prev, tc in reversed(cache):
+            dh = g[t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            dz[:hidden] = dc * gc * gi * (1.0 - gi)
+            dz[hidden : 2 * hidden] = dc * c_prev * gf * (1.0 - gf)
+            dz[2 * hidden : 3 * hidden] = dc * gi * (1.0 - gc * gc)
+            dz[3 * hidden :] = dh * tc * go * (1.0 - go)
+            dw += np.outer(xh, dz)
+            db += dz
+            dxh = wd @ dz
+            dx[t] += dxh[:d]
+            dh_next = dxh[d:]
+            dc_next = dc * gf
+        _accum(x, dx)
+        _accum(w, dw)
+        _accum(b, db)
+
+    out._backward = bw
+    return out
+
+
 # the report schema, pinned here rather than read back from MetricReport
 _SCORE_FIELDS = ("f1c", "precision_c", "recall_c", "f1s", "precision_s", "recall_s", "sen_acc")
 
@@ -91,7 +151,8 @@ def read_archive(path) -> dict:
 def write_archive(payload, path) -> None:
     """The inverse of ``read_archive``. A payload that is not a dict is
     written as the metadata; a parameter entry that is not exactly a shape
-    and values that reshape to it raises NoArchiveForm."""
+    and values that reshape to it, or whose values mix a bool among numbers
+    (numpy would store it as 1.0 or 0.0), raises NoArchiveForm."""
     if isinstance(payload, dict):
         metadata = {k: v for k, v in payload.items() if k != "params"}
         params = payload.get("params", {})
@@ -105,5 +166,8 @@ def write_archive(payload, path) -> None:
             members[name] = np.asarray(entry["values"]).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:
             raise NoArchiveForm(f"parameter {name!r}: {exc}") from exc
+        flat = np.asarray(entry["values"], dtype=object).flat
+        if members[name].dtype != bool and any(type(v) is bool for v in flat):
+            raise NoArchiveForm(f"parameter {name!r} values mix bools and numbers")
     with open(path, "wb") as f:
         np.savez(f, **members)

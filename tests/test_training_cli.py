@@ -346,6 +346,8 @@ class TestCli:
         (_emb(shape=[5]), r"parameter 'emb' cannot reshape array of size \d+ into shape \(5,\)"),
         (_emb(values={}), "parameter 'emb' values are not all numbers"),
         (_emb(values=[[1.0, 2.0], [3.0]]), "parameter 'emb' .*inhomogeneous shape"),
+        (lambda p: _emb(values=[True] + p["params"]["emb"]["values"][1:])(p),
+         "parameter 'emb' values are not all numbers"),
         (lambda p: {**p, "seed": "s"}, "checkpoint seed must be an int >= 0, got 's'"),
         (lambda p: {**p, "word_vocab": 5}, "checkpoint word_vocab is not a list of strings"),
         (lambda p: {**p, "architecture": []}, r"unknown architecture \[\]"),
