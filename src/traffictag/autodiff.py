@@ -69,12 +69,6 @@ def mul_const(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def _sigmoid_nd(z: Array) -> Array:
-    # overflow-safe logistic: exp only ever sees non-positive arguments
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis), parts)
@@ -91,11 +85,13 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def take_rows(x: Tensor, indices: Sequence[int] | int) -> Tensor:
-    """Gather rows of a 2D tensor; duplicate indices accumulate correctly.
+def take_rows(x: Tensor, indices: Sequence[int] | int | tuple) -> Tensor:
+    """Gather rows of a tensor; duplicate indices accumulate correctly.
 
-    A single int index gives that one row as a vector."""
-    idx = np.asarray(indices, dtype=np.intp)
+    A single int index gives that one row; a tuple of index arrays picks
+    entries along the leading axes, as numpy's fancy indexing does."""
+    idx = (tuple(np.asarray(i, dtype=np.intp) for i in indices) if isinstance(indices, tuple)
+           else np.asarray(indices, dtype=np.intp))
     out = Tensor(x.data[idx], (x,))
 
     def bw(g: Array) -> None:

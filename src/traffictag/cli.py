@@ -29,7 +29,7 @@ from .corpus import (
     split_corpus,
 )
 from .metrics import MetricReport
-from .models import load_checkpoint, predict, save_checkpoint
+from .models import load_checkpoint, save_checkpoint, suppress_spans
 from .training import ExperimentConfig, TrainingDiverged, evaluate, train_and_test
 
 
@@ -128,17 +128,16 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 def cmd_train(args) -> int:
     config = _load_experiment_config(args)
+    if config.corpus is None and config.generate_size is None:
+        raise _UsageError("config needs either a corpus path or generator settings")
+    out = Path(config.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)  # first: a bad out_dir costs no training run
     if config.corpus is not None:
         corpus = load_corpus(config.corpus, config.corpus_format)
-    elif config.generate_size is not None:
-        corpus = generate_synthetic(config.generator_config(), config.seed)
     else:
-        raise _UsageError("config needs either a corpus path or generator settings")
+        corpus = generate_synthetic(config.generator_config(), config.seed)
     train_c, dev_c, test_c = split_corpus(corpus, config.seed)
     model, log, report = train_and_test(config, train_c, dev_c, test_c)
-
-    out = Path(config.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.npz", extra={"config_hash": config.config_hash()})
     (out / "runlog.json").write_text(log.to_json(), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -215,7 +214,7 @@ def cmd_predict(args) -> int:
     in_path = Path(args.input)
     if not in_path.exists():
         raise CorpusError(f"input file not found: {in_path}")
-    out_lines = []
+    tweets = []
     skipped = 0
     for lineno, line in enumerate(in_path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
@@ -228,10 +227,11 @@ def cmd_predict(args) -> int:
             print(f"warning: skipped line {lineno}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        tweet = Tweet(tweet_id, text, tuple(tokens), "non_traffic", ())
-        pred = predict(model, tweet, suppress_non_traffic_spans=args.suppress_non_traffic_spans)
-        out_lines.append(jsonl_line(tweet, pred.class_label, pred.spans))
-    output = "".join(out_lines)
+        tweets.append(Tweet(tweet_id, text, tuple(tokens), "non_traffic", ()))
+    preds = model.predict(tweets)
+    if args.suppress_non_traffic_spans:
+        preds = [suppress_spans(pred) for pred in preds]
+    output = "".join(jsonl_line(t, pred.class_label, pred.spans) for t, pred in zip(tweets, preds))
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")
     else:

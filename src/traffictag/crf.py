@@ -156,36 +156,48 @@ def bio_start_mask(num_tags: int) -> np.ndarray:
     return np.array(_bio_penalty(num_tags))
 
 
-def viterbi(emissions: Tensor, crf: CrfModel,
-            constrained: bool = False) -> tuple[list[int], float]:
-    """Highest-scoring tag path and its score.
+def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = None,
+            constrained: bool = False) -> tuple[list[list[int]], list[float]]:
+    """Highest-scoring tag path of each sentence in a batch, and its score.
 
-    Ties break toward the lowest tag index at every backtracking step. With
-    ``constrained`` set, transitions that would produce an invalid BIO
-    bigram (and I- tags at position 0) are masked out.
+    ``emissions`` holds the sentences' rows back to back, ``lengths[r]`` rows
+    for sentence r (default: one sentence). Sentences are decoded longest
+    first, so step i extends the k_i still running, a prefix of ``delta``
+    [B, tags]. Ties break toward the lowest tag index at every backtracking
+    step. With ``constrained`` set, transitions that would produce an invalid
+    BIO bigram (and I- tags at position 0) are masked out.
     """
     n, t = _check_emissions(emissions, crf)
-    e = emissions.data
-    trans = crf.transitions.data.copy()
-    start = crf.start.data.copy()
-    if constrained:
-        trans += bio_transition_mask(t)
-        start += bio_start_mask(t)
-
+    lens = [n] if lengths is None else [int(m) for m in lengths]
+    if not lens or min(lens) < 1 or sum(lens) != n:
+        raise ValueError(f"sentence lengths {lens} do not split {n} emission rows")
+    trans = crf.transitions.data + (bio_transition_mask(t) if constrained else 0.0)
+    start = crf.start.data + (bio_start_mask(t) if constrained else 0.0)
+    order = sorted(range(len(lens)), key=lambda r: -lens[r])  # longest first, stable
+    firsts = list(itertools.accumulate(lens, initial=0))
+    e = np.zeros((lens[order[0]], len(lens), t))  # [step, sentence in decoding order, tag]
+    for j, r in enumerate(order):
+        e[: lens[r], j] = emissions.data[firsts[r] : firsts[r + 1]]
     delta = e[0] + start
-    backptr = np.empty((n, t), dtype=np.intp)
-    for i in range(1, n):
-        scores = delta[:, None] + trans  # [prev, cur]
-        backptr[i] = scores.argmax(axis=0)  # argmax takes the lowest index on ties
-        delta = scores[backptr[i], np.arange(t)] + e[i]
-    delta = delta + crf.end.data
-    last = int(delta.argmax())
-    best_score = float(delta[last])
-    path = [last]
-    for i in range(n - 1, 0, -1):
-        path.append(int(backptr[i, path[-1]]))
-    path.reverse()
-    return path, best_score
+    backptr = np.zeros((len(e), len(lens), t), dtype=np.intp)  # [step, sentence, tag]
+    k = len(lens)
+    for i in range(1, len(e)):
+        while lens[order[k - 1]] <= i:  # the k sentences longer than i are still running
+            k -= 1
+        scores = delta[:k, :, None] + trans  # [sentence, prev, cur]
+        scores.argmax(axis=1, out=backptr[i, :k])  # argmax takes the lowest index on ties
+        np.maximum.reduce(scores, axis=1, out=delta[:k])
+        delta[:k] += e[i, :k]
+    delta += crf.end.data
+    backptr = backptr.tolist()
+    paths, best_scores = [[]] * len(lens), [0.0] * len(lens)
+    for j, r in enumerate(order):
+        path = [int(delta[j].argmax())]
+        best_scores[r] = float(delta[j, path[0]])
+        for i in range(lens[r] - 1, 0, -1):
+            path.append(backptr[i][j][path[-1]])
+        paths[r] = path[::-1]
+    return paths, best_scores
 
 
 def brute_force_oracle(

@@ -1,19 +1,21 @@
 """Neural building blocks on top of the autodiff core.
 
 Hot-path primitives (affine heads, embedding lookup, the CNN encoder's
-convolution, ReLU and max-over-time pooling, LSTM runs whose input projection
-is one GEMM outside the recurrence, softmax cross-entropy) carry hand-written
-backward passes in a single op so that a sentence costs a handful of graph
-nodes instead of hundreds. The tests' finite-difference checker covers each.
+convolution, ReLU and max-over-time pooling, LSTM runs over a padded batch
+whose input projection is one GEMM outside the recurrence, softmax
+cross-entropy) carry hand-written backward passes in a single op so that a
+batch of sentences costs a handful of graph nodes instead of hundreds. The
+tests' finite-difference checker covers each.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Array, Tensor, _accum, _sigmoid_nd, concat, take_rows
+from .autodiff import Array, Tensor, _accum, concat, take_rows
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -41,49 +43,46 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return take_rows(table, idx)
 
 
-def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv_max_pool(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor) -> Tensor:
     """Windowed 1D convolution over token rows, ReLU, then max-over-time
     pooling: each filter's best window score, floored at +0.0.
 
-    ``x`` is [n, d], ``w`` is [width * d, filters], ``b`` is [filters]; the
-    output is [filters]. The gradient reaches only the earliest best window,
-    and only where its score is positive.
+    ``x`` is a padded [B, T, d] batch, row r holding ``lengths[r]`` tokens
+    and convolved over its own windows only; ``w`` is [width * d, filters],
+    ``b`` is [filters]; the output is [B, filters]. The gradient reaches only
+    the earliest best window, and only where its score is positive.
     """
-    n, d = x.data.shape
+    batch, _, d = x.data.shape
     wd, filters = w.data.shape
     if wd % d != 0:
         raise ValueError(f"conv filter rows {wd} not a multiple of token dim {d}")
     width = wd // d
-    if n < width:
-        raise ValueError(f"sequence of {n} tokens shorter than window width {width}")
-    positions = n - width + 1
-    windows = np.empty((positions, wd))
-    for j in range(width):
-        windows[:, j * d : (j + 1) * d] = x.data[j : j + positions]
-    scores = windows @ w.data + b.data
-    best, cols = scores.argmax(axis=0), np.arange(filters)
-    top = scores[best, cols]
-    out = Tensor(np.where(top > 0, top, 0.0), (x, w, b))
+    if min(lengths) < width:
+        raise ValueError(f"sequence of {min(lengths)} tokens shorter than window width {width}")
+    cols, windows, best = np.arange(filters), [], []  # per row: its windows, best ones
+    tops = np.empty((batch, filters))
+    for r, n in enumerate(lengths):
+        windows.append(np.empty((n - width + 1, wd)))
+        for j in range(width):
+            windows[r][:, j * d : (j + 1) * d] = x.data[r, j : j + n - width + 1]
+        scores = windows[r] @ w.data + b.data
+        best.append(scores.argmax(axis=0))
+        tops[r] = scores[best[r], cols]
+    out = Tensor(np.where(tops > 0, tops, 0.0), (x, w, b))
 
     def bw(g: Array) -> None:
-        gs = np.zeros_like(scores)
-        gs[best, cols] = np.where(top > 0, g, 0.0)
-        _accum(w, windows.T @ gs)
-        _accum(b, gs.sum(axis=0))
-        gwin = gs @ w.data.T
         gx = np.zeros_like(x.data)
-        for j in range(width):
-            gx[j : j + positions] += gwin[:, j * d : (j + 1) * d]
+        for r, win in enumerate(windows):
+            gs = np.zeros((len(win), filters))
+            gs[best[r], cols] = np.where(tops[r] > 0, g[r], 0.0)
+            _accum(w, win.T @ gs)
+            _accum(b, gs.sum(axis=0))
+            gwin = gs @ w.data.T
+            for j in range(width):
+                gx[r, j : j + len(win)] += gwin[:, j * d : (j + 1) * d]
         _accum(x, gx)
 
     out._backward = bw
-    return out
-
-
-def tile_rows(x: Tensor, n: int) -> Tensor:
-    """Repeat a vector as n identical rows; the gradient sums back over rows."""
-    out = Tensor(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,))
-    out._backward = lambda g: _accum(x, g.sum(axis=0))
     return out
 
 
@@ -141,63 +140,99 @@ def softmax_xent(logits: Tensor, gold: int | Sequence[int]) -> tuple[Tensor, Arr
     return loss, probs.reshape(logits.shape)
 
 
-def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Run an LSTM over token rows and return all hidden states.
+@functools.lru_cache(maxsize=256)
+def _plan(lens: tuple[int, ...], steps: int, hidden: int, reverse: bool) -> tuple:
+    """What ``lstm_seq`` derives from shapes alone: the rows active at each
+    step; the flat padded position read at each [step, row], past a row's end
+    a padded one that nothing uses; and (a, c) over the 4h gate row, whose
+    gates are a·tanh(a·z) + c."""
+    ks = [sum(n > s for n in lens) for s in range(lens[0])]
+    step = np.arange(lens[0])[:, None]
+    pos = (np.array(lens) - 1 - step) % steps if reverse else step
+    half = np.repeat((0.5, 0.5, 1.0, 0.5), hidden)
+    return ks, (np.arange(0, len(lens) * steps, steps) + pos).reshape(-1), half, 1.0 - half
 
-    ``x`` is [n, d]; ``w`` is [d + hidden, 4 * hidden] with gate order
-    input, forget, cell, output; ``b`` is [4 * hidden]. Output row t is the
-    hidden state produced at position t; for a reversed run that is the
-    state after reading tokens n-1 .. t.
 
-    ``x @ w[:d] + b`` is hoisted out of the recurrence, which does one
-    ``h @ w[d:]`` per token. The backward loop carries only ``dh`` and ``dc``
-    and fills the gate gradient ``dz`` [n, 4 * hidden] row by row; then
-    ``dx = dz @ w[:d]ᵀ``, ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ_t dz``.
+def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
+             reverse: bool = False) -> Tensor:
+    """Run an LSTM over a padded batch of token rows and return all hidden states.
+
+    ``x`` is [B, T, d], row r holding ``lengths[r]`` tokens, rows longest
+    first; ``w`` is [d + hidden, 4 * hidden] with gate order input, forget,
+    cell, output; ``b`` is [4 * hidden]. Output [r, t] is the hidden state at
+    position t of row r; a reversed run reads each row from its own end.
+    Positions past a row's length are zero and pass no gradient.
+
+    The arrays are time-major (row s * B + r is row r at step s), so the k_s
+    rows still active at step s, a prefix of the batch, are one slice: no
+    mask arithmetic. ``x @ w[:d] + b`` is one GEMM before the recurrence,
+    which does one ``h @ w[d:]`` and one ``tanh`` over the 4h gate row per
+    step, as σ(z) = ½·tanh(½z) + ½ and halving is exact. The backward loop
+    carries only ``dh`` and ``dc`` as [k_s, hidden] and fills ``dz``; then
+    ``dx = dz @ w[:d]ᵀ``, ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ dz``.
     """
-    n, d = x.data.shape
+    batch, steps, d = x.data.shape
+    lens = np.asarray(lengths).tolist()
     four_h = b.data.shape[0]
     hidden = four_h // 4
     if w.data.shape != (d + hidden, four_h):
         raise ValueError(f"lstm weight shape {w.shape} != {(d + hidden, four_h)}")
-    xs = x.data[::-1] if reverse else x.data  # reading order: step s reads row n-1-s if reversed
+    if (len(lens) != batch or not lens or lens[-1] < 1 or lens[0] > steps
+            or any(a < b for a, b in zip(lens, lens[1:]))):
+        raise ValueError(f"lstm lengths {lens} are not descending in [1, {steps}]")
+    ks, src, half, shift = _plan(tuple(lens), steps, hidden, reverse)
+    n = len(src)
     wx, wh = w.data[:d], w.data[d:]
     i_, f_, c_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    z = xs @ wx + b.data
-    gates = np.empty((n, four_h))  # sigmoid of z, except tanh on the cell slice
-    cells = np.zeros((n + 1, hidden))  # row s + 1 is the state after step s, row 0 the start
-    hs = np.zeros((n + 1, hidden))
-    tanh_c = np.empty((n, hidden))
-    for s in range(n):
-        z[s] += hs[s] @ wh
-        gates[s] = _sigmoid_nd(z[s])
-        g = gates[s]
-        np.tanh(z[s, c_], out=g[c_])
-        np.add(g[f_] * cells[s], g[i_] * g[c_], out=cells[s + 1])
-        np.tanh(cells[s + 1], out=tanh_c[s])
-        np.multiply(g[o_], tanh_c[s], out=hs[s + 1])
+    gates = x.data.reshape(-1, d)[src] @ wx  # becomes the gate values in place
+    gates += b.data
+    gi, gf, gc, go = gates[:, i_], gates[:, f_], gates[:, c_], gates[:, o_]
+    cells = np.zeros((batch + n, hidden))  # rows B + s * B + r: after step s; rows r: the start
+    hs = np.zeros((batch + n, hidden))
+    for s, k in enumerate(ks):
+        now, before, after = slice(s * batch, s * batch + k), s * batch, (s + 1) * batch
+        g = gates[now]
+        g += np.dot(hs[before : before + k], wh)
+        g *= half
+        np.tanh(g, out=g)
+        g *= half
+        g += shift
+        np.add(gf[now] * cells[before : before + k], gi[now] * gc[now],
+               out=cells[after : after + k])
+        np.multiply(go[now], np.tanh(cells[after : after + k]), out=hs[after : after + k])
 
-    out = Tensor(np.ascontiguousarray(hs[:0:-1] if reverse else hs[1:]), (x, w, b))
+    y = np.zeros((batch * steps, hidden))
+    y[src] = hs[batch:]
+    out = Tensor(y.reshape(batch, steps, hidden), (x, w, b))
 
     def bw(grad: Array) -> None:
-        gy = grad[::-1] if reverse else grad
-        gi, gf, gc, go = gates[:, i_], gates[:, f_], gates[:, c_], gates[:, o_]
-        # step s: dc += dh * h_to_c; dz is dc * gate_coef on i, f, c and dh * out_coef on o
+        gy = grad.reshape(-1, hidden)[src]
+        tanh_c = np.tanh(cells[batch:])  # recomputed, as are x's rows: the forward keeps less
+        # step s: dc += dh * h_to_c; dz is dc * coef on i, f, c and dh * coef on o
         h_to_c = go * (1.0 - tanh_c * tanh_c)
-        gate_coef = np.stack((gc * gi * (1.0 - gi), cells[:-1] * gf * (1.0 - gf),
-                              gi * (1.0 - gc * gc)), axis=1)
-        out_coef = tanh_c * go * (1.0 - go)
-        dz = np.empty((n, four_h))
-        dh_next = dc_next = np.zeros(hidden)
-        for s in range(n - 1, -1, -1):
-            dh = gy[s] + dh_next
-            dc = dc_next + dh * h_to_c[s]
-            np.multiply(gate_coef[s], dc, out=dz[s, : 3 * hidden].reshape(3, hidden))
-            np.multiply(dh, out_coef[s], out=dz[s, o_])
-            dh_next = wh @ dz[s]
-            dc_next = dc * gf[s]
-        dx = dz @ wx.T
-        _accum(x, dx[::-1] if reverse else dx)
-        _accum(w, np.vstack((xs.T @ dz, hs[:-1].T @ dz)))
+        coef = np.empty((n, 4, hidden))
+        np.multiply(gc, gi * (1.0 - gi), out=coef[:, 0])
+        np.multiply(cells[:-batch], gf * (1.0 - gf), out=coef[:, 1])
+        np.multiply(gi, 1.0 - gc * gc, out=coef[:, 2])
+        np.multiply(tanh_c, go * (1.0 - go), out=coef[:, 3])
+        coef_icf, coef_o = coef[:, :3], coef[:, 3]
+        dz_gates = np.zeros((n, 4, hidden))
+        dz, dz_icf, dz_o = dz_gates.reshape(n, four_h), dz_gates[:, :3], dz_gates[:, 3]
+        dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        wh_t = wh.T
+        for s in range(len(ks) - 1, -1, -1):
+            k = ks[s]
+            now = slice(s * batch, s * batch + k)
+            dh = gy[now] + dh_next[:k]
+            dc = dc_next[:k] + dh * h_to_c[now]
+            np.multiply(coef_icf[now], dc[:, None], out=dz_icf[now])
+            np.multiply(dh, coef_o[now], out=dz_o[now])
+            np.dot(dz[now], wh_t, out=dh_next[:k])
+            np.multiply(dc, gf[now], out=dc_next[:k])
+        dx = np.zeros((batch * steps, d))
+        dx[src] = dz @ wx.T
+        _accum(x, dx.reshape(x.data.shape))
+        _accum(w, np.vstack((x.data.reshape(-1, d)[src].T @ dz, hs[:-batch].T @ dz)))
         _accum(b, dz.sum(axis=0))
 
     out._backward = bw
@@ -205,16 +240,16 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
 
 
 def bilstm(
-    x: Tensor, wf: Tensor, bf: Tensor, wb: Tensor, bb: Tensor
+    x: Tensor, lengths: Sequence[int], wf: Tensor, bf: Tensor, wb: Tensor, bb: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Bidirectional LSTM over token rows.
+    """Bidirectional LSTM over a padded batch, rows longest first.
 
-    Returns (per-token states [n, 2*hidden], final forward state, final
-    backward state). The per-token state is the concatenation of the two
-    directional states at that position.
+    Returns (per-token states [B, T, 2*hidden], zero past each row's length,
+    each row's final forward state [B, hidden], and its final backward state
+    [B, hidden]). The per-token state concatenates the two directions'.
     """
-    n = x.data.shape[0]
-    forward = lstm_seq(x, wf, bf, reverse=False)
-    backward_states = lstm_seq(x, wb, bb, reverse=True)
-    states = concat((forward, backward_states), axis=1)
-    return states, take_rows(forward, n - 1), take_rows(backward_states, 0)
+    rows, last = np.arange(len(lengths)), np.asarray(lengths, dtype=np.intp) - 1
+    forward = lstm_seq(x, lengths, wf, bf, reverse=False)
+    backward_states = lstm_seq(x, lengths, wb, bb, reverse=True)
+    states = concat((forward, backward_states), axis=2)
+    return states, take_rows(forward, (rows, last)), take_rows(backward_states, (rows, 0 * rows))

@@ -55,7 +55,6 @@ from .layers import (
     embedding_lookup,
     softmax_probs,
     softmax_xent,
-    tile_rows,
 )
 from .optim import ParamStore
 
@@ -72,6 +71,9 @@ _PRESETS = {
 ARCHITECTURES = tuple(_PRESETS)
 
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_LABELS)}
+
+# tweets per forward pass at inference: bounds the padded batch's memory
+PREDICT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -242,50 +244,71 @@ class Model:
                        ("crf.end", (bio.NUM_TAGS,), "uniform")]
         return layout
 
-    def _encode(self, tokens: Sequence[str]) -> tuple[Tensor | None, Tensor | None]:
-        """(token states, one row per original token, or None for the cnn;
-        the pooled whole-sentence state, or None without a class head)."""
+    def _encode(
+        self, token_lists: Sequence[Sequence[str]]
+    ) -> tuple[Tensor | None, Tensor | None, list[int]]:
+        """(token states: each tweet's rows back to back, one row per original
+        token, or None for the cnn; sentence states [B, ·] or None without a
+        class head; the token count of each tweet)."""
         store, p = self.store, self._prefix
         if self.subword_vocab is not None:
-            ids, gather = subword.encode(tokens, self.subword_vocab)
+            ids, gathers = zip(*(subword.encode(t, self.subword_vocab) for t in token_lists))
         else:
-            ids, gather = self.word_vocab.encode(tokens), None
+            ids = [self.word_vocab.encode(t) for t in token_lists]
+            gathers = [range(len(row)) for row in ids]
+        counts = [len(g) for g in gathers]
+        order = list(range(len(ids)))
         if self.encoder == "cnn":  # a tweet shorter than the widest window is padded
-            short = max(self.config.cnn_widths) - len(ids)
-            ids = ids + [self.word_vocab.stoi[WordVocab.PAD]] * short
-        x = embedding_lookup(store[f"{p}emb"], ids)
+            ids = [row + [0] * (max(self.config.cnn_widths) - len(row)) for row in ids]
+        else:  # the LSTM wants its rows longest first
+            order.sort(key=lambda i: -len(ids[i]))
+        lengths = [len(ids[i]) for i in order]
+        padded = np.zeros((len(ids), max(lengths)), dtype=np.intp)  # 0 is [PAD] in both vocabs
+        for r, i in enumerate(order):
+            padded[r, : lengths[r]] = ids[i]
+        x = embedding_lookup(store[f"{p}emb"], padded)
         if self.encoder == "cnn":
-            return None, concat([conv_max_pool(x, store[f"conv{w}.w"], store[f"conv{w}.b"])
-                                 for w in self.config.cnn_widths])
+            pooled = [conv_max_pool(x, lengths, store[f"conv{w}.w"], store[f"conv{w}.b"])
+                      for w in self.config.cnn_widths]
+            return None, concat(pooled, axis=1), counts
         states, hf, hb = bilstm(
-            x, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
+            x, lengths, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
             store[f"{p}lstm_b.w"], store[f"{p}lstm_b.b"],
         )
-        if gather is not None:
-            states = take_rows(states, gather)
-        return states, concat((hf, hb)) if self.class_head else None
+        rank = sorted(range(len(order)), key=order.__getitem__)  # the batch row of each tweet
+        rows = [rank[j] for j, g in enumerate(gathers) for _ in g]
+        token_states = take_rows(states, (rows, [i for g in gathers for i in g]))
+        sentence_states = take_rows(concat((hf, hb), axis=1), rank) if self.class_head else None
+        return token_states, sentence_states, counts
 
-    def logits(
-        self, tokens: Sequence[str], train: bool = False, rng=None
-    ) -> tuple[Tensor | None, Tensor | None]:
-        """(class logits, per-token tag logits); None where there is no head.
-
-        Dropout draws for the token states come before the sentence state's.
-        """
-        token_states, sentence_state = self._encode(tokens)
+    def forward(
+        self, token_lists: Sequence[Sequence[str]], train: bool = False, rng=None
+    ) -> tuple[Tensor | None, Tensor | None, list[int]]:
+        """(class logits [B, classes], per-token tag logits with each tweet's
+        rows back to back, each tweet's token count); None for no head.
+        Dropout draws for the token states come before the sentence states'."""
+        token_states, sentence_states, counts = self._encode(token_lists)
         rate, store = self.config.dropout, self.store
         class_logits = tag_logits = None
         if self.tag_head:
             token_states = dropout(token_states, rate, train, rng)
         if self.class_head:
-            sentence_state = dropout(sentence_state, rate, train, rng)
-            class_logits = affine(sentence_state, store[f"{self._cls}.w"], store[f"{self._cls}.b"])
+            sentence_states = dropout(sentence_states, rate, train, rng)
+            class_logits = affine(sentence_states, store[f"{self._cls}.w"],
+                                  store[f"{self._cls}.b"])
         if self.tag_head:
             if self.enhanced:
-                tiled = tile_rows(sentence_state, token_states.data.shape[0])
+                tiled = take_rows(sentence_states, np.repeat(np.arange(len(counts)), counts))
                 token_states = concat((token_states, tiled), axis=1)
             tag_logits = affine(token_states, store[f"{self._tag}.w"], store[f"{self._tag}.b"])
-        return class_logits, tag_logits
+        return class_logits, tag_logits, counts
+
+    def logits(
+        self, tokens: Sequence[str], train: bool = False, rng=None
+    ) -> tuple[Tensor | None, Tensor | None]:
+        """(class logits, per-token tag logits) of one tweet; None for no head."""
+        class_logits, tag_logits, _ = self.forward([tokens], train, rng)
+        return None if class_logits is None else take_rows(class_logits, 0), tag_logits
 
     def emissions(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
         """Per-token tag logits, the CRF's emission scores."""
@@ -297,10 +320,10 @@ class Model:
         return crf_mod.CrfModel(store["crf.trans"], store["crf.start"], store["crf.end"])
 
     def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        class_logits, tag_logits = self.logits(tweet.tokens, train, rng)
+        class_logits, tag_logits, _ = self.forward([tweet.tokens], train, rng)
         terms = []
         if class_logits is not None:
-            terms.append(softmax_xent(class_logits, _gold_class(tweet))[0])
+            terms.append(softmax_xent(class_logits, [_gold_class(tweet)])[0])
         if tag_logits is not None:
             gold = _gold_tag_ids(tweet)
             if self.tag_head == "crf":
@@ -309,24 +332,36 @@ class Model:
                 terms.append(softmax_xent(tag_logits, gold)[0])
         return terms[0] if len(terms) == 1 else add(*terms)
 
-    def predict(self, tweet: Tweet) -> Prediction:
-        class_logits, tag_logits = self.logits(tweet.tokens)
-        label = None
+    def predict(self, tweets: Sequence[Tweet]) -> list[Prediction]:
+        """Predictions in input order, one forward pass per chunk of
+        PREDICT_CHUNK tweets of similar length."""
+        order = sorted(range(len(tweets)), key=lambda i: len(tweets[i].tokens))
+        preds: list[Prediction | None] = [None] * len(tweets)
+        for lo in range(0, len(order), PREDICT_CHUNK):
+            chunk = order[lo : lo + PREDICT_CHUNK]
+            for i, pred in zip(chunk, self._decode([tweets[i].tokens for i in chunk])):
+                preds[i] = pred
+        return preds
+
+    def _decode(self, token_lists: Sequence[Sequence[str]]) -> list[Prediction]:
+        class_logits, tag_logits, counts = self.forward(token_lists)
+        labels = [None] * len(counts)
         if class_logits is not None:
             probs = softmax_probs(class_logits.data)
             # strict inequality: a tie stays non_traffic
-            traffic = probs[CLASS_INDEX[TRAFFIC]] > probs[CLASS_INDEX[NON_TRAFFIC]]
-            label = TRAFFIC if traffic else NON_TRAFFIC
+            traffic = probs[:, CLASS_INDEX[TRAFFIC]] > probs[:, CLASS_INDEX[NON_TRAFFIC]]
+            labels = [TRAFFIC if t else NON_TRAFFIC for t in traffic]
         if tag_logits is None:
-            return Prediction(label, ())
+            return [Prediction(label, ()) for label in labels]
         if self.tag_head == "crf":
-            path, _ = crf_mod.viterbi(
-                tag_logits, self.crf, constrained=self.config.constrained_decode
-            )
+            paths, _ = crf_mod.viterbi(tag_logits, self.crf, counts,
+                                       self.config.constrained_decode)
         else:
-            path = softmax_probs(tag_logits.data).argmax(axis=1)
-        tags = tuple(bio.TAGS[i] for i in path)
-        return Prediction(label, tuple(bio.decode_tags(tags)), tags)
+            best = softmax_probs(tag_logits.data).argmax(axis=1)
+            paths = np.split(best, np.cumsum(counts)[:-1])
+        tag_lists = [tuple(bio.TAGS[i] for i in path) for path in paths]
+        return [Prediction(label, tuple(bio.decode_tags(tags)), tags)
+                for label, tags in zip(labels, tag_lists)]
 
 
 def predict(model: Model, tweet: Tweet, suppress_non_traffic_spans: bool = False) -> Prediction:
@@ -336,14 +371,14 @@ def predict(model: Model, tweet: Tweet, suppress_non_traffic_spans: bool = False
     non_traffic, so the two subtasks stay independently evaluable; the flag
     switches on pipeline-style suppression.
     """
-    pred = model.predict(tweet)
-    if (
-        suppress_non_traffic_spans
-        and pred.class_label == NON_TRAFFIC
-        and pred.spans
-    ):
-        pred = replace(pred, spans=())
-    return pred
+    pred = model.predict([tweet])[0]
+    return suppress_spans(pred) if suppress_non_traffic_spans else pred
+
+
+def suppress_spans(pred: Prediction) -> Prediction:
+    """The prediction without its spans if it classifies the tweet
+    non_traffic, else the prediction itself."""
+    return replace(pred, spans=()) if pred.class_label == NON_TRAFFIC and pred.spans else pred
 
 
 # ---------------------------------------------------------------------------

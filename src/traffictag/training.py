@@ -161,7 +161,7 @@ def evaluate(model: Model, corpus: Corpus) -> metrics.MetricReport:
     """Score a model on a corpus with the metrics its kind supports."""
     if len(corpus) == 0:
         raise CorpusError("cannot evaluate on an empty corpus")
-    predictions = [model.predict(t) for t in corpus]
+    predictions = model.predict(corpus.tweets)
     gold_classes = [t.class_label for t in corpus]
     gold_spans = [t.spans for t in corpus]
     report = metrics.MetricReport(

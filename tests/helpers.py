@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from traffictag.autodiff import Tensor, _accum, _sigmoid_nd
+from traffictag.autodiff import Tensor, _accum
 from traffictag.bio import TAGS
 from traffictag.corpus import SLOT_TYPES, SlotSpan
 from traffictag.models import METADATA_MEMBER
@@ -53,11 +53,17 @@ def project(x: Tensor, seed: int = 0) -> Tensor:
     return out
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # overflow-safe logistic: exp only ever sees non-positive arguments
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def lstm_seq_reference(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
     """``layers.lstm_seq`` as a plain per-token loop: each step multiplies
     the whole weight by ``concat(x_t, h)``, and the backward adds one outer
     product per token into ``w``'s gradient. The test reference for the
-    hoisted op, which reorders this arithmetic."""
+    batched op, which reorders this arithmetic; it keeps its own logistic."""
     n, d = x.data.shape
     four_h = b.data.shape[0]
     hidden = four_h // 4
@@ -71,10 +77,10 @@ def lstm_seq_reference(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -
     for t in order:
         xh = np.concatenate((x.data[t], h))
         z = xh @ wd + bd
-        gi = _sigmoid_nd(z[:hidden])
-        gf = _sigmoid_nd(z[hidden : 2 * hidden])
+        gi = _sigmoid(z[:hidden])
+        gf = _sigmoid(z[hidden : 2 * hidden])
         gc = np.tanh(z[2 * hidden : 3 * hidden])
-        go = _sigmoid_nd(z[3 * hidden :])
+        go = _sigmoid(z[3 * hidden :])
         c_prev = c
         c = gf * c_prev + gi * gc
         tc = np.tanh(c)

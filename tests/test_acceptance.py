@@ -81,7 +81,7 @@ def test_crf_oracle_equivalence():
         )
         oracle_log_z, oracle_path, oracle_score = brute_force_oracle(emissions, model)
         log_z = float(log_partition(emissions, model).data)
-        path, score = viterbi(emissions, model)
+        [path], [score] = viterbi(emissions, model)
         worst_gap = max(worst_gap, abs(log_z - oracle_log_z))
         assert abs(log_z - oracle_log_z) < 1e-10
         assert path == oracle_path and score == pytest.approx(oracle_score, abs=1e-12)
@@ -240,7 +240,7 @@ def test_learnability(arch, learnability_splits):
     if arch == "enhanced_joint":
         # end to end: a trained joint model reproduces class and typed spans
         gold = next(t for t in test_c if t.class_label == TRAFFIC and t.spans)
-        pred = model.predict(gold)
+        [pred] = model.predict([gold])
         assert pred.class_label == gold.class_label
         assert sorted(s.key() for s in pred.spans) == sorted(s.key() for s in gold.spans)
     _criterion(

@@ -10,7 +10,6 @@ import pytest
 from helpers import cotangent, lstm_seq_reference, project
 from traffictag.autodiff import (
     Tensor,
-    _sigmoid_nd,
     add,
     backward,
     concat,
@@ -26,7 +25,6 @@ from traffictag.layers import (
     lstm_seq,
     softmax_probs,
     softmax_xent,
-    tile_rows,
 )
 from traffictag.optim import ParamStore, adam_step, clip_global_norm, sgd_step
 
@@ -135,10 +133,8 @@ class TestGradCheckPerOp:
         x = self.t(5, 3)
         assert _gc(lambda: project(take_rows(x, [0, 2, 2, 4])), x) < 1e-6
         assert _gc(lambda: project(take_rows(x, 3)), x) < 1e-6
-
-    def test_tile_rows(self):
-        x = self.t(4)
-        assert _gc(lambda: project(tile_rows(x, 6)), x) < 1e-6
+        padded = self.t(3, 4, 2)  # a tuple picks entries along the leading axes
+        assert _gc(lambda: project(take_rows(padded, ([0, 2, 2], [3, 1, 1]))), padded) < 1e-6
 
     def test_affine_embedding(self):
         e = self.t(6, 4)
@@ -149,12 +145,12 @@ class TestGradCheckPerOp:
         )
 
     def test_conv_and_pool(self):
-        x = self.t(6, 3)
+        x = self.t(2, 6, 3)  # a 6-token row and a 4-token row
         w, b = self.t(9, 4), self.t(4)  # width 3
         b.data[0] = -50.0  # filter 0's best window scores below 0: no output, no gradient
-        out = conv_max_pool(x, w, b).data
-        assert out[0] == 0.0 and np.all(out[1:] > 0)
-        assert _gc(lambda: project(conv_max_pool(x, w, b)), x, w, b) < 1e-4
+        out = conv_max_pool(x, [6, 4], w, b).data
+        assert np.all(out[:, 0] == 0.0) and np.all(out[:, 1:] > 0)
+        assert _gc(lambda: project(conv_max_pool(x, [6, 4], w, b)), x, w, b) < 1e-4
 
     def test_softmax_xent_ops(self):
         z = self.t(5)
@@ -163,17 +159,18 @@ class TestGradCheckPerOp:
         assert _gc(lambda: softmax_xent(rows, [0, 5, 2, 2])[0], rows) < 1e-6
 
     def test_lstm_both_directions(self):
-        x = self.t(5, 3)
+        x = self.t(3, 5, 3)  # rows of 5, 3 and 1 tokens; padding passes no gradient
         w, b = self.t(7, 16), self.t(16)
-        assert _gc(lambda: project(lstm_seq(x, w, b)), x, w, b) < 1e-4
-        assert _gc(lambda: project(lstm_seq(x, w, b, reverse=True)), x, w, b) < 1e-4
+        lengths = [5, 3, 1]
+        assert _gc(lambda: project(lstm_seq(x, lengths, w, b)), x, w, b) < 1e-4
+        assert _gc(lambda: project(lstm_seq(x, lengths, w, b, reverse=True)), x, w, b) < 1e-4
 
     def test_bilstm(self):
-        x = self.t(4, 3)
+        x = self.t(2, 4, 3)
         wf, bf, wb, bb = self.t(7, 16), self.t(16), self.t(7, 16), self.t(16)
 
         def build():
-            states, hf, hb = bilstm(x, wf, bf, wb, bb)
+            states, hf, hb = bilstm(x, [4, 2], wf, bf, wb, bb)
             return add(add(project(states, 0), project(hf, 1)), project(hb, 2))
 
         assert _gc(build, x, wf, bf, wb, bb) < 1e-4
@@ -192,24 +189,48 @@ class TestLayerContracts:
     def test_max_pool_hand_case(self):
         # width 1: filter 0 scores x, tied at windows 1 and 2; filter 1 scores
         # -x - 2.5, at most -0.5, so its output is 0 and it passes no gradient
-        x = Tensor([[1.0], [3.0], [3.0], [-2.0]])
+        x = Tensor([[[1.0], [3.0], [3.0], [-2.0]]])
         w, b = Tensor([[1.0, -1.0]]), Tensor([0.0, -2.5])
-        out = conv_max_pool(x, w, b)
-        assert out.data.tolist() == [3.0, 0.0] and not np.signbit(out.data[1])
+        out = conv_max_pool(x, [4], w, b)
+        assert out.data.tolist() == [[3.0, 0.0]] and not np.signbit(out.data[0, 1])
         backward(project(out))
-        r0 = cotangent((2,))[0]
-        assert x.grad.tolist() == [[0.0], [r0], [0.0], [0.0]]  # the earliest best window
+        r0 = cotangent((1, 2))[0, 0]
+        assert x.grad.tolist() == [[[0.0], [r0], [0.0], [0.0]]]  # the earliest best window
         assert w.grad.tolist() == [[3.0 * r0, 0.0]]
         assert b.grad.tolist() == [r0, 0.0]
 
     def test_conv_positions(self):
-        x = Tensor(np.zeros((5, 2)))
+        x = Tensor(np.zeros((2, 5, 2)))
         w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros(4))  # width 3
-        assert conv_max_pool(x, w, b).shape == (4,)
+        assert conv_max_pool(x, [5, 3], w, b).shape == (2, 4)
 
     def test_conv_too_short(self):
         with pytest.raises(ValueError):
-            conv_max_pool(Tensor(np.zeros((2, 2))), Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
+            conv_max_pool(Tensor(np.zeros((2, 3, 2))), [3, 2], Tensor(np.zeros((6, 4))),
+                          Tensor(np.zeros(4)))
+
+    def test_conv_batch_rows_equal_single_rows(self):
+        """Each row of a padded batch is convolved on its own windows only:
+        its output and gradients are bit-identical to a batch of that row
+        alone, and the padding gets no gradient."""
+        rng = np.random.default_rng(4)
+        lengths = [3, 9, 5, 3]
+        x_data = rng.standard_normal((4, 9, 2))  # padding holds values the op must not read
+        w_data, b_data = rng.standard_normal((6, 3)), rng.standard_normal(3)
+        x, w, b = Tensor(x_data), Tensor(w_data), Tensor(b_data)
+        out = conv_max_pool(x, lengths, w, b)
+        backward(project(out))
+        r = cotangent(out.shape)
+        w_sum = np.zeros_like(w_data)
+        for row, n in enumerate(lengths):
+            xr, wr, br = Tensor(x_data[row : row + 1, :n]), Tensor(w_data), Tensor(b_data)
+            single = conv_max_pool(xr, [n], wr, br)
+            assert np.array_equal(single.data[0], out.data[row])
+            single._backward(r[row : row + 1])
+            assert np.array_equal(xr.grad[0], x.grad[row, :n])
+            assert not np.any(x.grad[row, n:])
+            w_sum += wr.grad
+        assert np.abs(w.grad - w_sum).max() <= 1e-12
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
@@ -237,64 +258,117 @@ class TestLayerContracts:
 
     def test_bilstm_output_shapes_and_finals(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((5, 3)))
+        x = Tensor(rng.standard_normal((2, 5, 3)))
         wf, bf = Tensor(rng.standard_normal((7, 16))), Tensor(np.zeros(16))
         wb, bb = Tensor(rng.standard_normal((7, 16))), Tensor(np.zeros(16))
-        states, hf, hb = bilstm(x, wf, bf, wb, bb)
-        assert states.shape == (5, 8)
-        assert np.allclose(states.data[4, :4], hf.data)
-        assert np.allclose(states.data[0, 4:], hb.data)
+        states, hf, hb = bilstm(x, [5, 2], wf, bf, wb, bb)
+        assert states.shape == (2, 5, 8) and hf.shape == hb.shape == (2, 4)
+        assert np.allclose(states.data[[0, 1], [4, 1], :4], hf.data)
+        assert np.allclose(states.data[:, 0, 4:], hb.data)
+        assert not np.any(states.data[1, 2:])
 
     @pytest.mark.parametrize("d,hidden", [(24, 24), (160, 128)])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_seq_matches_reference_loop(self, d, hidden, reverse):
-        """The hoisted op reorders the per-token loop's arithmetic; its output
-        and all three gradients stay within 1e-12 of the loop's at every
-        length from 1 to 30, under a random cotangent."""
+        """The op reorders the per-token loop's arithmetic; on a batch of one
+        its output and all three gradients stay within 1e-12 of the loop's at
+        every length from 1 to 30, under a random cotangent."""
         rng = np.random.default_rng(d + reverse)
-        scale = 1.0 / math.sqrt(d + hidden)
-        w_data = rng.uniform(-scale, scale, (d + hidden, 4 * hidden))
-        b_data = rng.uniform(-scale, scale, 4 * hidden)
+        w_data, b_data = _lstm_weights(rng, d, hidden)
         worst = 0.0
         for n in range(1, 31):
             x_data = rng.standard_normal((n, d))
             results = []
-            for op in (lstm_seq, lstm_seq_reference):
-                x, w, b = Tensor(x_data), Tensor(w_data), Tensor(b_data)
-                out = op(x, w, b, reverse=reverse)
-                backward(project(out, seed=n))
-                results.append((out.data, x.grad, w.grad, b.grad))
+            for batch in (True, False):
+                x, w, b = Tensor(x_data[None] if batch else x_data), Tensor(w_data), Tensor(b_data)
+                out = lstm_seq(x, [n], w, b, reverse) if batch else lstm_seq_reference(
+                    x, w, b, reverse)
+                backward(project(out, seed=n))  # the same cotangent entries for [1, n, h]
+                results.append((out.data.reshape(n, hidden), x.grad.reshape(n, d), w.grad,
+                                b.grad))
             for new, ref in zip(*results):
                 assert new.shape == ref.shape
                 worst = max(worst, float(np.abs(new - ref).max()))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("d,hidden", [(24, 24), (160, 128)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_seq_batch_matches_reference_rows(self, d, hidden, reverse):
+        """A padded batch of mixed lengths 1..30, longest first: each row's
+        output and input gradient stay within 1e-12 of the loop run on that
+        row alone, and the weight and bias gradients of the sum over rows.
+        The padding holds values the op must not read, and its cotangent
+        entries must not reach any gradient; padded outputs are zero."""
+        rng = np.random.default_rng(10 * d + reverse)
+        w_data, b_data = _lstm_weights(rng, d, hidden)
+        lengths = sorted([1, 30, 30, 2] + rng.integers(1, 31, 9).tolist(), reverse=True)
+        x_data = rng.standard_normal((len(lengths), 30, d))
+        r = cotangent((len(lengths), 30, hidden), seed=3)
+        x, w, b = Tensor(x_data), Tensor(w_data), Tensor(b_data)
+        out = lstm_seq(x, lengths, w, b, reverse=reverse)
+        out._backward(r)
+        w_sum, b_sum = np.zeros_like(w_data), np.zeros_like(b_data)
+        worst = 0.0
+        for row, n in enumerate(lengths):
+            xr, wr, br = Tensor(x_data[row, :n]), Tensor(w_data), Tensor(b_data)
+            ref = lstm_seq_reference(xr, wr, br, reverse=reverse)
+            ref._backward(r[row, :n])
+            worst = max(worst, np.abs(out.data[row, :n] - ref.data).max(),
+                        np.abs(x.grad[row, :n] - xr.grad).max())
+            assert not np.any(out.data[row, n:]) and not np.any(x.grad[row, n:])
+            w_sum += wr.grad
+            b_sum += br.grad
+        worst = max(worst, np.abs(w.grad - w_sum).max(), np.abs(b.grad - b_sum).max())
+        assert worst <= 1e-12
+
+    def test_lstm_seq_rejects_unsorted_lengths(self):
+        w, b = Tensor(np.zeros((5, 8))), Tensor(np.zeros(8))
+        for lengths in ([2, 3], [3, 0], [4, 1]):
+            with pytest.raises(ValueError, match="descending"):
+                lstm_seq(Tensor(np.zeros((2, 3, 3))), lengths, w, b)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_seq_backward_twice_accumulates(self, reverse):
         rng = np.random.default_rng(7)
         x_data, w_data, b_data = (rng.uniform(-0.5, 0.5, s) for s in ((6, 5), (9, 16), (16,)))
         grads = []
-        for op in (lstm_seq, lstm_seq_reference):
-            x, w, b = Tensor(x_data), Tensor(w_data), Tensor(b_data)
-            loss = project(op(x, w, b, reverse=reverse))
+        for batch in (True, False):
+            x, w, b = Tensor(x_data[None] if batch else x_data), Tensor(w_data), Tensor(b_data)
+            out = lstm_seq(x, [6], w, b, reverse) if batch else lstm_seq_reference(
+                x, w, b, reverse)
+            loss = project(out)
             backward(loss)
             once = [t.grad.copy() for t in (x, w, b)]
             backward(loss)
             for t, g in zip((x, w, b), once):
                 assert np.array_equal(t.grad, 2.0 * g)
-            grads.append([t.grad for t in (x, w, b)])
+            grads.append([t.grad.reshape(t.data.shape[-2:]) if t is x else t.grad
+                          for t in (x, w, b)])
         for new, ref in zip(*grads):
             assert np.abs(new - ref).max() <= 1e-12
 
     def test_forward_finite_on_extreme_inputs(self):
         z = np.array([[1e3, -1e3], [-1e3, 1e3]])
+        x = Tensor(np.array([[[1e3, -1e3], [-1e3, 1e3], [1e3, 1e3]],
+                             [[-1e3, -1e3], [0.0, 0.0], [0.0, 0.0]]]))
+        w, b = Tensor(np.ones((4, 8))), Tensor(np.zeros(8))
         with np.errstate(over="raise"):
-            assert np.all(np.isfinite(_sigmoid_nd(z)))
+            for reverse in (False, True):
+                out = lstm_seq(x, [3, 1], w, b, reverse=reverse)
+                assert np.all(np.isfinite(out.data))
+                out._backward(np.ones(out.shape))
+                assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
         assert np.all(np.isfinite(softmax_probs(z)))
 
     def test_embedding_out_of_range(self):
         with pytest.raises(ValueError):
             embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
+
+
+def _lstm_weights(rng, d, hidden):
+    scale = 1.0 / math.sqrt(d + hidden)
+    return (rng.uniform(-scale, scale, (d + hidden, 4 * hidden)),
+            rng.uniform(-scale, scale, 4 * hidden))
 
 
 def _uniform_store(shape, seed):

@@ -105,11 +105,11 @@ class TestLogPartition:
         rng = np.random.default_rng(3)
         emissions, model = random_instance(rng, 4, 3)
         base = float(log_partition(emissions, model).data)
-        base_path, _ = viterbi(emissions, model)
+        [base_path], _ = viterbi(emissions, model)
         shifted = emissions.data.copy()
         shifted[2] += 1.7
         after = float(log_partition(Tensor(shifted), model).data)
-        after_path, _ = viterbi(Tensor(shifted), model)
+        [after_path], _ = viterbi(Tensor(shifted), model)
         assert after == pytest.approx(base + 1.7, abs=1e-10)
         assert after_path == base_path
 
@@ -134,7 +134,7 @@ class TestNll:
             for b in range(2)
         }
         assert all(v >= 0 for v in losses.values())
-        path, _ = viterbi(emissions, model)
+        [path], _ = viterbi(emissions, model)
         assert losses[tuple(path)] == min(losses.values())
 
     def test_length_mismatch(self):
@@ -162,12 +162,12 @@ class TestNll:
 
 class TestViterbi:
     def test_emission_dominant(self):
-        path, score = viterbi(Tensor([[1.0, 0.0], [0.0, 1.0]]), zero_model(2))
+        [path], [score] = viterbi(Tensor([[1.0, 0.0], [0.0, 1.0]]), zero_model(2))
         assert path == [0, 1]
         assert score == pytest.approx(2.0)
 
     def test_tie_break_lowest_index(self):
-        path, score = viterbi(Tensor(np.zeros((3, 2))), zero_model(2))
+        [path], [score] = viterbi(Tensor(np.zeros((3, 2))), zero_model(2))
         assert path == [0, 0, 0]
         assert score == 0.0
 
@@ -176,7 +176,7 @@ class TestViterbi:
         model = zero_model(2)
         model.transitions.data[0, 1] = -5.0
         emissions = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        path, score = viterbi(emissions, model)
+        [path], [score] = viterbi(emissions, model)
         _, oracle_path, oracle_score = brute_force_oracle(emissions, model)
         assert path != [0, 1]
         assert path == oracle_path
@@ -185,6 +185,37 @@ class TestViterbi:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             viterbi(Tensor(np.zeros((0, 2))), zero_model(2))
+
+    def test_lengths_must_split_the_rows(self):
+        for lengths in ([2, 2], [3, 0, 1], []):
+            with pytest.raises(ValueError, match="do not split"):
+                viterbi(Tensor(np.zeros((3, 2))), zero_model(2), lengths)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_batch_matches_oracle_per_sentence(self, constrained):
+        """Sentences of mixed lengths, in no order, decoded as one batch:
+        each path and score is the brute-force argmax of that sentence alone,
+        under the masked scores when constrained, and the batch returns them
+        in input order."""
+        rng = np.random.default_rng(31 + constrained)
+        t = bio.NUM_TAGS if constrained else 4
+        for _ in range(12):
+            lengths = rng.integers(1, 5 if constrained else 7, int(rng.integers(1, 9))).tolist()
+            emissions, model = random_instance(rng, sum(lengths), t)
+            if constrained:  # the oracle enumerates the masked scores
+                masked = CrfModel(Tensor(model.transitions.data + bio_transition_mask(t)),
+                                  Tensor(model.start.data + bio_start_mask(t)), model.end)
+            paths, scores = viterbi(emissions, model, lengths, constrained=constrained)
+            assert len(paths) == len(scores) == len(lengths)
+            rows = np.cumsum([0] + lengths)
+            for i, n in enumerate(lengths):
+                single = Tensor(emissions.data[rows[i] : rows[i + 1]])
+                _, oracle_path, oracle_score = brute_force_oracle(
+                    single, masked if constrained else model)
+                assert paths[i] == oracle_path
+                assert scores[i] == pytest.approx(oracle_score, abs=1e-12)
+                assert viterbi(single, model, constrained=constrained) == ([paths[i]],
+                                                                           [scores[i]])
 
 
 class TestOracleAgreement:
@@ -197,7 +228,7 @@ class TestOracleAgreement:
             emissions, model = random_instance(rng, n, t)
             oracle_log_z, oracle_path, oracle_score = brute_force_oracle(emissions, model)
             log_z = float(log_partition(emissions, model).data)
-            path, score = viterbi(emissions, model)
+            [path], [score] = viterbi(emissions, model)
             assert abs(log_z - oracle_log_z) < 1e-10
             assert path == oracle_path
             assert score == pytest.approx(oracle_score, abs=1e-12)
@@ -261,7 +292,7 @@ class TestConstrainedDecode:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             emissions = Tensor(rng.uniform(-3, 3, (n, bio.NUM_TAGS)))
-            path, _ = viterbi(emissions, model, constrained=True)
+            [path], _ = viterbi(emissions, model, constrained=True)
             tags = [bio.TAGS[i] for i in path]
             assert bio.validate(tags) == []
 

@@ -27,6 +27,7 @@ from traffictag.corpus import (
 from traffictag.layers import softmax_probs
 from traffictag.models import (
     ARCHITECTURES,
+    PREDICT_CHUNK,
     ModelConfig,
     WordVocab,
     build_model,
@@ -165,11 +166,34 @@ class TestPresets:
         for edge in edge_tweets(tweet):
             assert np.isfinite(float(model.loss(edge).data)), edge.id
             assert np.isfinite(float(model.loss(edge, train=True, rng=rng).data)), edge.id
-            pred = model.predict(edge)
+            pred = predict(model, edge)
             if model.tag_head:
                 assert len(pred.tags) == len(edge.tokens), edge.id
             if model.class_head:
                 assert pred.class_label in CLASS_LABELS
+
+
+class TestBatchedPredict:
+    @pytest.mark.parametrize("arch,encoder", [
+        *((arch, "word") for arch in ARCHITECTURES),
+        ("joint", "subword"), ("enhanced_joint", "subword"),
+    ])
+    def test_batch_equals_per_tweet(self, arch, encoder, word_vocab, sub_vocab, corpus, tweet):
+        """More tweets than one chunk, of mixed lengths and with the edge
+        cases, predicted together: each prediction equals that tweet's
+        prediction alone, in input order."""
+        config = dataclasses.replace(SMALL, encoder=encoder)
+        model = build_model(arch, config, seed=15, word_vocab=word_vocab, subword_vocab=sub_vocab)
+        tweets = edge_tweets(tweet) + list(corpus)[:40]
+        assert len(tweets) > PREDICT_CHUNK
+        assert model.predict(tweets) == [predict(model, t) for t in tweets]
+
+    def test_constrained_batch_equals_per_tweet(self, word_vocab, corpus):
+        config = dataclasses.replace(SMALL, constrained_decode=True)
+        model = build_model("lstm_crf", config, seed=16, word_vocab=word_vocab)
+        tweets = list(corpus)[:40]
+        assert model.predict(tweets) == [predict(model, t) for t in tweets]
+        assert model.predict([]) == []
 
 
 class TestClassifiers:
@@ -200,7 +224,7 @@ class TestClassifiers:
 
     def test_tie_breaks_to_non_traffic(self, word_vocab, tweet):
         model = zero_params(build_model("cnn", SMALL, seed=1, word_vocab=word_vocab))
-        assert model.predict(tweet).class_label == NON_TRAFFIC
+        assert predict(model, tweet).class_label == NON_TRAFFIC
 
 
 class TestTaggers:
@@ -213,7 +237,7 @@ class TestTaggers:
     def test_decoded_spans_never_overlap(self, word_vocab, corpus):
         model = build_model("lstm_tagger", SMALL, seed=2, word_vocab=word_vocab)
         for tweet in list(corpus)[:20]:
-            pred = model.predict(tweet)
+            pred = predict(model, tweet)
             ordered = sorted(pred.spans, key=lambda s: s.start)
             assert all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
 
@@ -221,13 +245,13 @@ class TestTaggers:
         config = ModelConfig(**{**SMALL.to_dict(), "constrained_decode": True})
         model = build_model("lstm_crf", config, seed=4, word_vocab=word_vocab)
         for tweet in list(corpus)[:30]:
-            pred = model.predict(tweet)
+            pred = predict(model, tweet)
             assert bio.validate(list(pred.tags)) == []
 
     def test_oov_tokens_map_to_unk(self, word_vocab):
         model = build_model("lstm_crf", SMALL, seed=4, word_vocab=word_vocab)
         unseen = Tweet("x", "zzzq qqqz", ("zzzq", "qqqz"), TRAFFIC, ())
-        pred = model.predict(unseen)
+        pred = predict(model, unseen)
         assert len(pred.tags) == 2
 
 
@@ -342,7 +366,7 @@ class TestCheckpoints:
             save_checkpoint(again, path.with_name("again.npz"))
             assert path.with_name("again.npz").read_bytes() == path.read_bytes()
             for tweet in list(corpus)[:5]:
-                a, b = model.predict(tweet), again.predict(tweet)
+                a, b = predict(model, tweet), predict(again, tweet)
                 assert a.class_label == b.class_label
                 assert a.spans == b.spans
 
@@ -442,6 +466,6 @@ def _assert_pinned_predictions(model, arch):
     assert len(raw) == len(pinned) == 10
     for record, expected in zip(raw, pinned):
         tokens = tuple(normalize_tweet(record["text"]))
-        pred = model.predict(Tweet(record["id"], record["text"], tokens, NON_TRAFFIC, ()))
+        pred = predict(model, Tweet(record["id"], record["text"], tokens, NON_TRAFFIC, ()))
         assert pred.class_label == expected["label"]
         assert (list(pred.tags) if pred.tags else None) == expected["tags"]

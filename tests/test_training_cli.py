@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import NoArchiveForm, read_archive, validate_report_dict, write_archive
-from traffictag import models
+from traffictag import models, training
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
 from traffictag.corpus import (
@@ -459,6 +459,19 @@ class TestCli:
             tmp_path, generate_size=None, corpus=str(tmp_path / "missing.jsonl")
         )
         assert main(["train", "--config", str(config_path)]) == 2
+
+    def test_train_out_dir_checked_before_training(self, tmp_path, monkeypatch):
+        """An out_dir that is an existing file is a data error found before
+        the corpus is loaded, so no training run is lost to it."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_model ran")
+
+        monkeypatch.setattr(training, "train_model", no_training)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        config_path = self._write_config(tmp_path, out_dir=str(blocker))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert blocker.read_text() == "not a directory"
 
     def test_train_missing_seed_is_usage_error(self, tmp_path):
         config = {"architecture": "cnn", "generate_size": 30}
