@@ -6,13 +6,13 @@ reverse topological order from a scalar loss. Gradients on leaf tensors
 (parameters) accumulate across backward calls until the caller zeros them;
 gradients on interior nodes are reset at the start of every backward pass.
 
-Everything is float64 so that the finite-difference checker
-(:func:`grad_check`) is a meaningful oracle for every op built on top.
+Everything is float64 so that the tests' finite-difference checker is a
+meaningful oracle for every op built on top.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def take_rows(x: Tensor, indices: Sequence[int] | int | tuple) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Backward pass and the finite-difference oracle
+# Backward pass
 # ---------------------------------------------------------------------------
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -143,36 +143,3 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between autodiff and central finite differences.
-
-    ``loss_fn`` must be deterministic (dropout off or a fixed rng). The
-    relative error is |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) over every
-    parameter entry.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    backward(loss_fn())
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = float(loss_fn().data)
-            flat[i] = orig - epsilon
-            lo = float(loss_fn().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * epsilon)
-            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
-            worst = max(worst, err)
-    return worst

@@ -1,4 +1,4 @@
-"""Linear-chain CRF: exact log-partition, NLL, Viterbi, and a brute-force oracle.
+"""Linear-chain CRF: exact log-partition, NLL and batched Viterbi.
 
 A path through tags (y1..yn) scores
 
@@ -15,7 +15,6 @@ Sutton & McCallum, arXiv:1011.4088, section 4.1).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -132,28 +131,17 @@ def nll(emissions: Tensor, crf: CrfModel, tags: Sequence[int]) -> Tensor:
     return _crf_op(emissions, crf, gold)
 
 
-@functools.cache  # every constrained decode asks for the masks again
-def _bio_penalty(num_tags: int, *prefix: str) -> tuple[float, ...]:
-    """NEG_INF for each tag that ``bio.validate`` rejects right after
-    ``prefix``, else 0, over the 9-tag BIO inventory."""
-    if num_tags != bio.NUM_TAGS:
-        raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
-    last = len(prefix)
-    return tuple(
-        NEG_INF if any(i == last for i, _ in bio.validate((*prefix, tag))) else 0.0
-        for tag in bio.TAGS
-    )
-
-
-def bio_transition_mask(num_tags: int) -> np.ndarray:
-    """Additive mask (0 or NEG_INF) forbidding I- tags without a same-type
-    B-/I- predecessor: row i holds the tags that may not follow tag i."""
-    return np.array([_bio_penalty(num_tags, prev) for prev in bio.TAGS])
-
-
-def bio_start_mask(num_tags: int) -> np.ndarray:
-    """Additive start mask forbidding an initial I- tag."""
-    return np.array(_bio_penalty(num_tags))
+# additive masks (0 or NEG_INF) over the 9-tag BIO inventory, from the rule
+# of ``bio.validate`` read at the last position only, since
+# validate(("I-x", "I-x")) also flags position 0: row i of the transition mask
+# holds the tags that may not follow tag i, and the start mask forbids an
+# initial I- tag
+BIO_TRANSITION_MASK = np.array([
+    [NEG_INF if any(i == 1 for i, _ in bio.validate((prev, tag))) else 0.0 for tag in bio.TAGS]
+    for prev in bio.TAGS
+])
+BIO_START_MASK = np.array([NEG_INF if bio.validate((tag,)) else 0.0 for tag in bio.TAGS])
+BIO_TRANSITION_MASK.flags.writeable = BIO_START_MASK.flags.writeable = False
 
 
 def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = None,
@@ -161,28 +149,31 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
     """Highest-scoring tag path of each sentence in a batch, and its score.
 
     ``emissions`` holds the sentences' rows back to back, ``lengths[r]`` rows
-    for sentence r (default: one sentence). Sentences are decoded longest
-    first, so step i extends the k_i still running, a prefix of ``delta``
-    [B, tags]. Ties break toward the lowest tag index at every backtracking
-    step. With ``constrained`` set, transitions that would produce an invalid
-    BIO bigram (and I- tags at position 0) are masked out.
+    for sentence r (default: one sentence), longest first, so step i extends
+    the k_i sentences still running, a prefix of ``delta`` [B, tags]. Ties
+    break toward the lowest tag index at every backtracking step. With
+    ``constrained`` set, transitions that would produce an invalid BIO bigram
+    (and I- tags at position 0) are masked out.
     """
     n, t = _check_emissions(emissions, crf)
     lens = [n] if lengths is None else [int(m) for m in lengths]
-    if not lens or min(lens) < 1 or sum(lens) != n:
-        raise ValueError(f"sentence lengths {lens} do not split {n} emission rows")
-    trans = crf.transitions.data + (bio_transition_mask(t) if constrained else 0.0)
-    start = crf.start.data + (bio_start_mask(t) if constrained else 0.0)
-    order = sorted(range(len(lens)), key=lambda r: -lens[r])  # longest first, stable
+    if (not lens or lens[-1] < 1 or sum(lens) != n
+            or any(a < b for a, b in zip(lens, lens[1:]))):
+        raise ValueError(f"sentence lengths {lens} do not split {n} emission rows longest first")
+    trans, start = crf.transitions.data, crf.start.data
+    if constrained:
+        if t != bio.NUM_TAGS:
+            raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
+        trans, start = trans + BIO_TRANSITION_MASK, start + BIO_START_MASK
     firsts = list(itertools.accumulate(lens, initial=0))
-    e = np.zeros((lens[order[0]], len(lens), t))  # [step, sentence in decoding order, tag]
-    for j, r in enumerate(order):
-        e[: lens[r], j] = emissions.data[firsts[r] : firsts[r + 1]]
+    e = np.zeros((lens[0], len(lens), t))  # [step, sentence, tag]
+    for r in range(len(lens)):
+        e[: lens[r], r] = emissions.data[firsts[r] : firsts[r + 1]]
     delta = e[0] + start
     backptr = np.zeros((len(e), len(lens), t), dtype=np.intp)  # [step, sentence, tag]
     k = len(lens)
     for i in range(1, len(e)):
-        while lens[order[k - 1]] <= i:  # the k sentences longer than i are still running
+        while lens[k - 1] <= i:  # the k sentences longer than i are still running
             k -= 1
         scores = delta[:k, :, None] + trans  # [sentence, prev, cur]
         scores.argmax(axis=1, out=backptr[i, :k])  # argmax takes the lowest index on ties
@@ -190,43 +181,11 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
         delta[:k] += e[i, :k]
     delta += crf.end.data
     backptr = backptr.tolist()
-    paths, best_scores = [[]] * len(lens), [0.0] * len(lens)
-    for j, r in enumerate(order):
-        path = [int(delta[j].argmax())]
-        best_scores[r] = float(delta[j, path[0]])
+    paths, best_scores = [], []
+    for r in range(len(lens)):
+        path = [int(delta[r].argmax())]
+        best_scores.append(float(delta[r, path[0]]))
         for i in range(lens[r] - 1, 0, -1):
-            path.append(backptr[i][j][path[-1]])
-        paths[r] = path[::-1]
+            path.append(backptr[i][r][path[-1]])
+        paths.append(path[::-1])
     return paths, best_scores
-
-
-def brute_force_oracle(
-    emissions: Tensor | np.ndarray, crf: CrfModel
-) -> tuple[float, list[int], float]:
-    """Exhaustive enumeration of all T^n paths: (log partition, best path,
-    best score). The reference implementation the fast routines are tested
-    against; refuses instances above 10^6 paths."""
-    e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=float)
-    n, t = e.shape
-    if t**n > 10**6:
-        raise ValueError(f"instance too large for enumeration: {t}^{n} paths")
-    trans = crf.transitions.data
-    start = crf.start.data
-    end = crf.end.data
-    scores = []
-    best_path: list[int] | None = None
-    best_score = -np.inf
-    for path in itertools.product(range(t), repeat=n):
-        s = start[path[0]] + end[path[-1]]
-        for i, y in enumerate(path):
-            s += e[i, y]
-        for a, b in zip(path, path[1:]):
-            s += trans[a, b]
-        scores.append(s)
-        if s > best_score:
-            best_score = s
-            best_path = list(path)
-    arr = np.asarray(scores)
-    m = arr.max()
-    log_z = float(m + np.log(np.exp(arr - m).sum()))
-    return log_z, best_path, float(best_score)

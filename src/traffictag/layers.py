@@ -19,15 +19,15 @@ from .autodiff import Array, Tensor, _accum, concat, take_rows
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a row vector or a matrix of rows."""
-    if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+    """x @ w + b for a matrix of rows."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ValueError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
     out = Tensor(x.data @ w.data + b.data, (x, w, b))
 
     def bw(g: Array) -> None:
         _accum(x, g @ w.data.T)
-        _accum(w, np.outer(x.data, g) if x.ndim == 1 else x.data.T @ g)
-        _accum(b, g if x.ndim == 1 else g.sum(axis=0))
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
 
     out._backward = bw
     return out

@@ -75,6 +75,9 @@ CLASS_INDEX = {label: i for i, label in enumerate(CLASS_LABELS)}
 # tweets per forward pass at inference: bounds the padded batch's memory
 PREDICT_CHUNK = 32
 
+# one tweet's vocabulary ids and the id position of each original token
+Encoded = tuple[list[int], Sequence[int]]
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -244,28 +247,28 @@ class Model:
                        ("crf.end", (bio.NUM_TAGS,), "uniform")]
         return layout
 
-    def _encode(
-        self, token_lists: Sequence[Sequence[str]]
-    ) -> tuple[Tensor | None, Tensor | None, list[int]]:
+    def _ids(self, tokens: Sequence[str]) -> Encoded:
+        """Subword pieces and their first-subtoken alignment, or one word id
+        per token."""
+        if self.subword_vocab is not None:
+            return subword.encode(tokens, self.subword_vocab)
+        ids = self.word_vocab.encode(tokens)
+        return ids, range(len(ids))
+
+    def _encode(self, rows: Sequence[Encoded]) -> tuple[Tensor | None, Tensor | None, list[int]]:
         """(token states: each tweet's rows back to back, one row per original
         token, or None for the cnn; sentence states [B, ·] or None without a
-        class head; the token count of each tweet)."""
+        class head; the token count of each tweet) of encoded tweets, longest
+        first."""
         store, p = self.store, self._prefix
-        if self.subword_vocab is not None:
-            ids, gathers = zip(*(subword.encode(t, self.subword_vocab) for t in token_lists))
-        else:
-            ids = [self.word_vocab.encode(t) for t in token_lists]
-            gathers = [range(len(row)) for row in ids]
+        ids, gathers = zip(*rows)
         counts = [len(g) for g in gathers]
-        order = list(range(len(ids)))
         if self.encoder == "cnn":  # a tweet shorter than the widest window is padded
             ids = [row + [0] * (max(self.config.cnn_widths) - len(row)) for row in ids]
-        else:  # the LSTM wants its rows longest first
-            order.sort(key=lambda i: -len(ids[i]))
-        lengths = [len(ids[i]) for i in order]
+        lengths = [len(row) for row in ids]
         padded = np.zeros((len(ids), max(lengths)), dtype=np.intp)  # 0 is [PAD] in both vocabs
-        for r, i in enumerate(order):
-            padded[r, : lengths[r]] = ids[i]
+        for r, row in enumerate(ids):
+            padded[r, : len(row)] = row
         x = embedding_lookup(store[f"{p}emb"], padded)
         if self.encoder == "cnn":
             pooled = [conv_max_pool(x, lengths, store[f"conv{w}.w"], store[f"conv{w}.b"])
@@ -275,19 +278,19 @@ class Model:
             x, lengths, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
             store[f"{p}lstm_b.w"], store[f"{p}lstm_b.b"],
         )
-        rank = sorted(range(len(order)), key=order.__getitem__)  # the batch row of each tweet
-        rows = [rank[j] for j, g in enumerate(gathers) for _ in g]
-        token_states = take_rows(states, (rows, [i for g in gathers for i in g]))
-        sentence_states = take_rows(concat((hf, hb), axis=1), rank) if self.class_head else None
+        tweet_rows = [r for r, g in enumerate(gathers) for _ in g]
+        token_states = take_rows(states, (tweet_rows, [i for g in gathers for i in g]))
+        sentence_states = concat((hf, hb), axis=1) if self.class_head else None
         return token_states, sentence_states, counts
 
     def forward(
-        self, token_lists: Sequence[Sequence[str]], train: bool = False, rng=None
+        self, rows: Sequence[Encoded], train: bool = False, rng=None
     ) -> tuple[Tensor | None, Tensor | None, list[int]]:
         """(class logits [B, classes], per-token tag logits with each tweet's
-        rows back to back, each tweet's token count); None for no head.
-        Dropout draws for the token states come before the sentence states'."""
-        token_states, sentence_states, counts = self._encode(token_lists)
+        rows back to back, each tweet's token count) of encoded tweets,
+        longest first; None for no head. Dropout draws for the token states
+        come before the sentence states'."""
+        token_states, sentence_states, counts = self._encode(rows)
         rate, store = self.config.dropout, self.store
         class_logits = tag_logits = None
         if self.tag_head:
@@ -307,7 +310,7 @@ class Model:
         self, tokens: Sequence[str], train: bool = False, rng=None
     ) -> tuple[Tensor | None, Tensor | None]:
         """(class logits, per-token tag logits) of one tweet; None for no head."""
-        class_logits, tag_logits, _ = self.forward([tokens], train, rng)
+        class_logits, tag_logits, _ = self.forward([self._ids(tokens)], train, rng)
         return None if class_logits is None else take_rows(class_logits, 0), tag_logits
 
     def emissions(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
@@ -320,7 +323,7 @@ class Model:
         return crf_mod.CrfModel(store["crf.trans"], store["crf.start"], store["crf.end"])
 
     def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        class_logits, tag_logits, _ = self.forward([tweet.tokens], train, rng)
+        class_logits, tag_logits, _ = self.forward([self._ids(tweet.tokens)], train, rng)
         terms = []
         if class_logits is not None:
             terms.append(softmax_xent(class_logits, [_gold_class(tweet)])[0])
@@ -333,18 +336,21 @@ class Model:
         return terms[0] if len(terms) == 1 else add(*terms)
 
     def predict(self, tweets: Sequence[Tweet]) -> list[Prediction]:
-        """Predictions in input order, one forward pass per chunk of
-        PREDICT_CHUNK tweets of similar length."""
-        order = sorted(range(len(tweets)), key=lambda i: len(tweets[i].tokens))
+        """Predictions in input order. The one place that orders a batch:
+        tweets are encoded once and sorted stably by encoded length, and each
+        run of PREDICT_CHUNK goes through one forward pass longest first, so
+        the short remainder chunk holds the longest tweets."""
+        rows = [self._ids(t.tokens) for t in tweets]
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]))
         preds: list[Prediction | None] = [None] * len(tweets)
         for lo in range(0, len(order), PREDICT_CHUNK):
-            chunk = order[lo : lo + PREDICT_CHUNK]
-            for i, pred in zip(chunk, self._decode([tweets[i].tokens for i in chunk])):
+            chunk = order[lo : lo + PREDICT_CHUNK][::-1]
+            for i, pred in zip(chunk, self._decode([rows[i] for i in chunk])):
                 preds[i] = pred
         return preds
 
-    def _decode(self, token_lists: Sequence[Sequence[str]]) -> list[Prediction]:
-        class_logits, tag_logits, counts = self.forward(token_lists)
+    def _decode(self, rows: Sequence[Encoded]) -> list[Prediction]:
+        class_logits, tag_logits, counts = self.forward(rows)
         labels = [None] * len(counts)
         if class_logits is not None:
             probs = softmax_probs(class_logits.data)
@@ -364,15 +370,14 @@ class Model:
                 for label, tags in zip(labels, tag_lists)]
 
 
-def predict(model: Model, tweet: Tweet, suppress_non_traffic_spans: bool = False) -> Prediction:
+def predict(model: Model, tweet: Tweet) -> Prediction:
     """Run a trained model on one tweet.
 
-    By default span predictions are kept even when the tweet is classified
-    non_traffic, so the two subtasks stay independently evaluable; the flag
-    switches on pipeline-style suppression.
+    Span predictions are kept even when the tweet is classified non_traffic,
+    so the two subtasks stay independently evaluable; ``suppress_spans``
+    gives the pipeline-style prediction.
     """
-    pred = model.predict([tweet])[0]
-    return suppress_spans(pred) if suppress_non_traffic_spans else pred
+    return model.predict([tweet])[0]
 
 
 def suppress_spans(pred: Prediction) -> Prediction:

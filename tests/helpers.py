@@ -1,18 +1,22 @@
-"""Shared generators for randomized property tests, the grad checks'
-random-cotangent reducer, the per-token LSTM loop that ``lstm_seq`` is
-checked against, the metric report's schema oracle, and a checkpoint
-archive's payload reader and writer for damage tests."""
+"""Shared generators for randomized property tests, the finite-difference
+gradient checker and its random-cotangent reducer, the CRF's brute-force
+enumeration oracle, the per-token LSTM loop that ``lstm_seq`` is checked
+against, the metric report's schema oracle, and a checkpoint archive's
+payload reader and writer for damage tests."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from typing import Callable, Iterable
 
 import numpy as np
 
-from traffictag.autodiff import Tensor, _accum
+from traffictag.autodiff import Tensor, _accum, backward
 from traffictag.bio import TAGS
 from traffictag.corpus import SLOT_TYPES, SlotSpan
+from traffictag.crf import CrfModel
 from traffictag.models import METADATA_MEMBER
 
 
@@ -35,6 +39,40 @@ def random_tag_sequence(rng: random.Random, n_tokens: int) -> list[str]:
     return [rng.choice(TAGS) for _ in range(n_tokens)]
 
 
+def grad_check(
+    loss_fn: Callable[[], Tensor],
+    params: Iterable[Tensor],
+    epsilon: float = 1e-5,
+) -> float:
+    """Max relative error between autodiff and central finite differences.
+
+    ``loss_fn`` must be deterministic (dropout off or a fixed rng). The
+    relative error is |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) over every
+    parameter entry.
+    """
+    params = list(params)
+    for p in params:
+        p.grad = None
+    backward(loss_fn())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            hi = float(loss_fn().data)
+            flat[i] = orig - epsilon
+            lo = float(loss_fn().data)
+            flat[i] = orig
+            fd = (hi - lo) / (2.0 * epsilon)
+            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
+            worst = max(worst, err)
+    return worst
+
+
 def cotangent(shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
     """The fixed uniform [-1, 1) array that ``project`` pairs with."""
     return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
@@ -51,6 +89,38 @@ def project(x: Tensor, seed: int = 0) -> Tensor:
     out = Tensor((x.data * r).sum(), (x,))
     out._backward = lambda g: _accum(x, g * r)
     return out
+
+
+def brute_force_oracle(
+    emissions: Tensor | np.ndarray, crf: CrfModel
+) -> tuple[float, list[int], float]:
+    """Exhaustive enumeration of all T^n paths: (log partition, best path,
+    best score). The reference implementation the fast routines are tested
+    against; refuses instances above 10^6 paths."""
+    e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=float)
+    n, t = e.shape
+    if t**n > 10**6:
+        raise ValueError(f"instance too large for enumeration: {t}^{n} paths")
+    trans = crf.transitions.data
+    start = crf.start.data
+    end = crf.end.data
+    scores = []
+    best_path: list[int] | None = None
+    best_score = -np.inf
+    for path in itertools.product(range(t), repeat=n):
+        s = start[path[0]] + end[path[-1]]
+        for i, y in enumerate(path):
+            s += e[i, y]
+        for a, b in zip(path, path[1:]):
+            s += trans[a, b]
+        scores.append(s)
+        if s > best_score:
+            best_score = s
+            best_path = list(path)
+    arr = np.asarray(scores)
+    m = arr.max()
+    log_z = float(m + np.log(np.exp(arr - m).sum()))
+    return log_z, best_path, float(best_score)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

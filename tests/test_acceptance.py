@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_span_set, random_tag_sequence
+from helpers import brute_force_oracle, grad_check, random_span_set, random_tag_sequence
 from traffictag import bio, subword
-from traffictag.autodiff import Tensor, grad_check
+from traffictag.autodiff import Tensor
 from traffictag.cli import main
 from traffictag.corpus import (
     TRAFFIC,
@@ -26,7 +26,7 @@ from traffictag.corpus import (
     generate_synthetic,
     split_corpus,
 )
-from traffictag.crf import CrfModel, brute_force_oracle, log_partition, viterbi
+from traffictag.crf import CrfModel, log_partition, viterbi
 from traffictag.metrics import classification_f1, sentence_accuracy, span_f1
 from traffictag.models import ModelConfig, WordVocab, build_model
 from traffictag.training import ExperimentConfig, train_and_test

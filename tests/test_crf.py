@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
+from helpers import brute_force_oracle, grad_check
 from traffictag import bio
-from traffictag.autodiff import Tensor, backward, grad_check
+from traffictag.autodiff import Tensor, backward
 from traffictag.crf import (
+    BIO_START_MASK,
+    BIO_TRANSITION_MASK,
     NEG_INF,
     CrfModel,
-    bio_start_mask,
-    bio_transition_mask,
-    brute_force_oracle,
     log_partition,
     nll,
     viterbi,
@@ -187,24 +187,25 @@ class TestViterbi:
             viterbi(Tensor(np.zeros((0, 2))), zero_model(2))
 
     def test_lengths_must_split_the_rows(self):
-        for lengths in ([2, 2], [3, 0, 1], []):
+        for lengths in ([2, 2], [3, 0, 1], [], [1, 2]):  # [1, 2]: not longest first
             with pytest.raises(ValueError, match="do not split"):
                 viterbi(Tensor(np.zeros((3, 2))), zero_model(2), lengths)
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_batch_matches_oracle_per_sentence(self, constrained):
-        """Sentences of mixed lengths, in no order, decoded as one batch:
+        """Sentences of mixed lengths, longest first, decoded as one batch:
         each path and score is the brute-force argmax of that sentence alone,
         under the masked scores when constrained, and the batch returns them
         in input order."""
         rng = np.random.default_rng(31 + constrained)
         t = bio.NUM_TAGS if constrained else 4
         for _ in range(12):
-            lengths = rng.integers(1, 5 if constrained else 7, int(rng.integers(1, 9))).tolist()
+            lengths = sorted(rng.integers(1, 5 if constrained else 7, int(rng.integers(1, 9))).tolist(),
+                             reverse=True)
             emissions, model = random_instance(rng, sum(lengths), t)
             if constrained:  # the oracle enumerates the masked scores
-                masked = CrfModel(Tensor(model.transitions.data + bio_transition_mask(t)),
-                                  Tensor(model.start.data + bio_start_mask(t)), model.end)
+                masked = CrfModel(Tensor(model.transitions.data + BIO_TRANSITION_MASK),
+                                  Tensor(model.start.data + BIO_START_MASK), model.end)
             paths, scores = viterbi(emissions, model, lengths, constrained=constrained)
             assert len(paths) == len(scores) == len(lengths)
             rows = np.cumsum([0] + lengths)
@@ -268,19 +269,20 @@ class TestOracleAgreement:
 
 class TestConstrainedDecode:
     def test_masks_forbid_illegal_bio(self):
-        mask = bio_transition_mask(bio.NUM_TAGS)
+        mask = BIO_TRANSITION_MASK
         idx = {tag: i for i, tag in enumerate(bio.TAGS)}
         assert mask[idx["O"], idx["I-when"]] < 0
         assert mask[idx["B-when"], idx["I-when"]] == 0
         assert mask[idx["I-when"], idx["I-when"]] == 0
         assert mask[idx["B-where"], idx["I-when"]] < 0
-        start = bio_start_mask(bio.NUM_TAGS)
+        start = BIO_START_MASK
         assert start[idx["I-what"]] < 0
         assert start[idx["B-what"]] == 0
         # each of the 4 I- tags may follow only its own B- and I-: 4 * 7 bans
         assert set(np.unique(mask)) == set(np.unique(start)) == {0.0, NEG_INF}
         assert int((mask == NEG_INF).sum()) == 28
         assert int((start == NEG_INF).sum()) == 4
+        assert not mask.flags.writeable and not start.flags.writeable  # built once, shared
 
     def test_constrained_paths_always_valid(self):
         rng = np.random.default_rng(5)
@@ -297,5 +299,5 @@ class TestConstrainedDecode:
             assert bio.validate(tags) == []
 
     def test_wrong_inventory_rejected(self):
-        with pytest.raises(ValueError):
-            bio_transition_mask(5)
+        with pytest.raises(ValueError, match="9-tag BIO inventory"):
+            viterbi(Tensor(np.zeros((2, 5))), zero_model(5), constrained=True)

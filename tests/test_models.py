@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_span_set, read_archive, write_archive
+from helpers import grad_check, random_span_set, read_archive, write_archive
 from traffictag import bio, subword
-from traffictag.autodiff import add, backward, grad_check
+from traffictag.autodiff import add, backward
 from traffictag.corpus import (
     CLASS_LABELS,
     NON_TRAFFIC,
@@ -28,12 +28,14 @@ from traffictag.layers import softmax_probs
 from traffictag.models import (
     ARCHITECTURES,
     PREDICT_CHUNK,
+    Model,
     ModelConfig,
     WordVocab,
     build_model,
     load_checkpoint,
     predict,
     save_checkpoint,
+    suppress_spans,
 )
 
 SMALL = ModelConfig(
@@ -188,6 +190,29 @@ class TestBatchedPredict:
         assert len(tweets) > PREDICT_CHUNK
         assert model.predict(tweets) == [predict(model, t) for t in tweets]
 
+    def test_chunks_follow_piece_lengths(self, sub_vocab, corpus, tweet, monkeypatch):
+        """The subword joint preset orders its batch by pieces, not tokens:
+        the chunks are consecutive runs of the ascending piece-length order,
+        each one sent down longest first."""
+        model = build_model("joint", SMALL, seed=17, subword_vocab=sub_vocab)
+        tweets = edge_tweets(tweet) + list(corpus)[:40]
+        pieces = [len(subword.encode(t.tokens, sub_vocab)[0]) for t in tweets]
+        # the two orders disagree on some pair, so sorting by tokens would show
+        assert any(len(a.tokens) < len(b.tokens) and pa > pb
+                   for a, pa in zip(tweets, pieces) for b, pb in zip(tweets, pieces))
+        chunks = []
+        forward = Model.forward
+
+        def recording(self, rows, *args, **kwargs):
+            chunks.append([len(ids) for ids, _ in rows])
+            return forward(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", recording)
+        model.predict(tweets)
+        assert [len(c) for c in chunks] == [PREDICT_CHUNK, len(tweets) - PREDICT_CHUNK]
+        assert all(c == sorted(c, reverse=True) for c in chunks)
+        assert [n for c in chunks for n in c[::-1]] == sorted(pieces)
+
     def test_constrained_batch_equals_per_tweet(self, word_vocab, corpus):
         config = dataclasses.replace(SMALL, constrained_decode=True)
         model = build_model("lstm_crf", config, seed=16, word_vocab=word_vocab)
@@ -335,8 +360,8 @@ class TestPredictGlue:
         model = build_model("joint", SMALL, seed=11, subword_vocab=sub_vocab)
         model.store["cls.w"].data[...] = 0.0  # force uniform -> non_traffic tie-break
         model.store["cls.b"].data[...] = 0.0
-        kept = predict(model, tweet, suppress_non_traffic_spans=False)
-        dropped = predict(model, tweet, suppress_non_traffic_spans=True)
+        kept = predict(model, tweet)
+        dropped = suppress_spans(kept)
         assert kept.class_label == NON_TRAFFIC
         assert dropped.spans == ()
 
