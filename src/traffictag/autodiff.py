@@ -69,29 +69,25 @@ def mul_const(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join the columns of matrices with one row count."""
     parts = tuple(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), parts)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1), parts)
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def bw(g: Array) -> None:
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            _accum(p, g[:, lo:hi])
 
     out._backward = bw
     return out
 
 
-def take_rows(x: Tensor, indices: Sequence[int] | int | tuple) -> Tensor:
+def take_rows(x: Tensor, indices: Sequence[int] | int) -> Tensor:
     """Gather rows of a tensor; duplicate indices accumulate correctly.
 
-    A single int index gives that one row; a tuple of index arrays picks
-    entries along the leading axes, as numpy's fancy indexing does."""
-    idx = (tuple(np.asarray(i, dtype=np.intp) for i in indices) if isinstance(indices, tuple)
-           else np.asarray(indices, dtype=np.intp))
+    A single int index gives that one row."""
+    idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(x.data[idx], (x,))
 
     def bw(g: Array) -> None:

@@ -15,7 +15,6 @@ Sutton & McCallum, arXiv:1011.4088, section 4.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import bio
 from .autodiff import Array, Tensor, _accum
+from .layers import _plan
 
 NEG_INF = -1e4  # soft minus-infinity for constrained decoding
 
@@ -149,11 +149,11 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
     """Highest-scoring tag path of each sentence in a batch, and its score.
 
     ``emissions`` holds the sentences' rows back to back, ``lengths[r]`` rows
-    for sentence r (default: one sentence), longest first, so step i extends
-    the k_i sentences still running, a prefix of ``delta`` [B, tags]. Ties
-    break toward the lowest tag index at every backtracking step. With
-    ``constrained`` set, transitions that would produce an invalid BIO bigram
-    (and I- tags at position 0) are masked out.
+    for sentence r (default: one sentence), longest first, padded time-major
+    by ``layers._plan``, so step i extends the k_i sentences still running, a
+    prefix of ``delta`` [B, tags]. Ties break toward the lowest tag index at
+    every backtracking step. With ``constrained`` set, transitions that would
+    produce an invalid BIO bigram (and I- tags at position 0) are masked out.
     """
     n, t = _check_emissions(emissions, crf)
     lens = [n] if lengths is None else [int(m) for m in lengths]
@@ -165,16 +165,11 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
         if t != bio.NUM_TAGS:
             raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
         trans, start = trans + BIO_TRANSITION_MASK, start + BIO_START_MASK
-    firsts = list(itertools.accumulate(lens, initial=0))
-    e = np.zeros((lens[0], len(lens), t))  # [step, sentence, tag]
-    for r in range(len(lens)):
-        e[: lens[r], r] = emissions.data[firsts[r] : firsts[r + 1]]
+    ks, src, _ = _plan(tuple(lens), False)
+    e = emissions.data[src].reshape(len(ks), len(lens), t)  # [step, sentence, tag]
     delta = e[0] + start
-    backptr = np.zeros((len(e), len(lens), t), dtype=np.intp)  # [step, sentence, tag]
-    k = len(lens)
-    for i in range(1, len(e)):
-        while lens[k - 1] <= i:  # the k sentences longer than i are still running
-            k -= 1
+    backptr = np.zeros((len(ks), len(lens), t), dtype=np.intp)  # [step, sentence, tag]
+    for i, k in enumerate(ks[1:], 1):  # the k sentences longer than i are still running
         scores = delta[:k, :, None] + trans  # [sentence, prev, cur]
         scores.argmax(axis=1, out=backptr[i, :k])  # argmax takes the lowest index on ties
         np.maximum.reduce(scores, axis=1, out=delta[:k])

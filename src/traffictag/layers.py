@@ -1,11 +1,14 @@
 """Neural building blocks on top of the autodiff core.
 
 Hot-path primitives (affine heads, embedding lookup, the CNN encoder's
-convolution, ReLU and max-over-time pooling, LSTM runs over a padded batch
-whose input projection is one GEMM outside the recurrence, softmax
-cross-entropy) carry hand-written backward passes in a single op so that a
-batch of sentences costs a handful of graph nodes instead of hundreds. The
-tests' finite-difference checker covers each.
+convolution, ReLU and max-over-time pooling, LSTM runs whose input
+projection is one GEMM outside the recurrence, softmax cross-entropy) carry
+hand-written backward passes in a single op so that a batch of sentences
+costs a handful of graph nodes instead of hundreds. The tests'
+finite-difference checker covers each. A batch crosses every op boundary
+packed: its sentences' token rows back to back, [N, ·], with per-sentence
+lengths, longest first. Only the recurrences, ``lstm_seq`` here and Viterbi
+in ``crf``, pad, privately, by one cached ``_plan``.
 """
 
 from __future__ import annotations
@@ -47,24 +50,26 @@ def conv_max_pool(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor) -> Te
     """Windowed 1D convolution over token rows, ReLU, then max-over-time
     pooling: each filter's best window score, floored at +0.0.
 
-    ``x`` is a padded [B, T, d] batch, row r holding ``lengths[r]`` tokens
-    and convolved over its own windows only; ``w`` is [width * d, filters],
-    ``b`` is [filters]; the output is [B, filters]. The gradient reaches only
-    the earliest best window, and only where its score is positive.
+    ``x`` is a packed batch [N, d], sentence r holding the ``lengths[r]``
+    rows after its predecessors' and convolved over its own windows only;
+    ``w`` is [width * d, filters], ``b`` is [filters]; the output is
+    [B, filters]. The gradient reaches only the earliest best window, and
+    only where its score is positive.
     """
-    batch, _, d = x.data.shape
+    d = x.data.shape[1]
     wd, filters = w.data.shape
     if wd % d != 0:
         raise ValueError(f"conv filter rows {wd} not a multiple of token dim {d}")
     width = wd // d
     if min(lengths) < width:
         raise ValueError(f"sequence of {min(lengths)} tokens shorter than window width {width}")
+    starts = np.cumsum(lengths) - lengths
     cols, windows, best = np.arange(filters), [], []  # per row: its windows, best ones
-    tops = np.empty((batch, filters))
-    for r, n in enumerate(lengths):
+    tops = np.empty((len(lengths), filters))
+    for r, (start, n) in enumerate(zip(starts, lengths)):
         windows.append(np.empty((n - width + 1, wd)))
         for j in range(width):
-            windows[r][:, j * d : (j + 1) * d] = x.data[r, j : j + n - width + 1]
+            windows[r][:, j * d : (j + 1) * d] = x.data[start + j : start + j + n - width + 1]
         scores = windows[r] @ w.data + b.data
         best.append(scores.argmax(axis=0))
         tops[r] = scores[best[r], cols]
@@ -72,14 +77,14 @@ def conv_max_pool(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor) -> Te
 
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        for r, win in enumerate(windows):
+        for r, (start, win) in enumerate(zip(starts, windows)):
             gs = np.zeros((len(win), filters))
             gs[best[r], cols] = np.where(tops[r] > 0, g[r], 0.0)
             _accum(w, win.T @ gs)
             _accum(b, gs.sum(axis=0))
             gwin = gs @ w.data.T
             for j in range(width):
-                gx[r, j : j + len(win)] += gwin[:, j * d : (j + 1) * d]
+                gx[start + j : start + j + len(win)] += gwin[:, j * d : (j + 1) * d]
         _accum(x, gx)
 
     out._backward = bw
@@ -141,54 +146,63 @@ def softmax_xent(logits: Tensor, gold: int | Sequence[int]) -> tuple[Tensor, Arr
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(lens: tuple[int, ...], steps: int, hidden: int, reverse: bool) -> tuple:
-    """What ``lstm_seq`` derives from shapes alone: the rows active at each
-    step; the flat padded position read at each [step, row], past a row's end
-    a padded one that nothing uses; and (a, c) over the 4h gate row, whose
-    gates are a·tanh(a·z) + c."""
-    ks = [sum(n > s for n in lens) for s in range(lens[0])]
+def _plan(lens: tuple[int, ...], reverse: bool) -> tuple[tuple[int, ...], Array, Array]:
+    """How a recurrence pads a packed batch of sentences of ``lens`` tokens,
+    longest first, time-major: the number of sentences active at each step;
+    for each [step, sentence] slot, flattened, the packed row it reads (an
+    inactive slot reads row 0, and its result is never used); and for each
+    packed row, its active slot. A reversed run reads each sentence from its
+    own end. The cached results are immutable."""
+    n = np.array(lens)
     step = np.arange(lens[0])[:, None]
-    pos = (np.array(lens) - 1 - step) % steps if reverse else step
-    half = np.repeat((0.5, 0.5, 1.0, 0.5), hidden)
-    return ks, (np.arange(0, len(lens) * steps, steps) + pos).reshape(-1), half, 1.0 - half
+    active = step < n
+    src = np.where(active, np.cumsum(n) - n + (n - 1 - step if reverse else step), 0).reshape(-1)
+    out = np.empty(n.sum(), dtype=np.intp)
+    out[src[active.reshape(-1)]] = np.flatnonzero(active)
+    src.flags.writeable = out.flags.writeable = False
+    return tuple(active.sum(axis=1).tolist()), src, out
 
 
 def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
              reverse: bool = False) -> Tensor:
-    """Run an LSTM over a padded batch of token rows and return all hidden states.
+    """Run an LSTM over a packed batch of token rows and return all hidden states.
 
-    ``x`` is [B, T, d], row r holding ``lengths[r]`` tokens, rows longest
-    first; ``w`` is [d + hidden, 4 * hidden] with gate order input, forget,
-    cell, output; ``b`` is [4 * hidden]. Output [r, t] is the hidden state at
-    position t of row r; a reversed run reads each row from its own end.
-    Positions past a row's length are zero and pass no gradient.
+    ``x`` is [N, d], sentence r holding ``lengths[r]`` rows back to back,
+    longest first; ``w`` is [d + hidden, 4 * hidden] with gate order input,
+    forget, cell, output; ``b`` is [4 * hidden]. Output row i [N, hidden] is
+    the hidden state at input row i; a reversed run reads each sentence from
+    its own end.
 
-    The arrays are time-major (row s * B + r is row r at step s), so the k_s
-    rows still active at step s, a prefix of the batch, are one slice: no
-    mask arithmetic. ``x @ w[:d] + b`` is one GEMM before the recurrence,
-    which does one ``h @ w[d:]`` and one ``tanh`` over the 4h gate row per
-    step, as σ(z) = ½·tanh(½z) + ½ and halving is exact. The backward loop
-    carries only ``dh`` and ``dc`` as [k_s, hidden] and fills ``dz``; then
-    ``dx = dz @ w[:d]ᵀ``, ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ dz``.
+    The working arrays are time-major by ``_plan`` (row s * B + r is
+    sentence r at step s), so the k_s sentences still active at step s, a
+    prefix of the batch, are one slice: no mask arithmetic. ``x @ w[:d] + b``
+    is one GEMM before the recurrence, which does one ``h @ w[d:]`` and one
+    ``tanh`` over the 4h gate row per step, as σ(z) = ½·tanh(½z) + ½ and
+    halving is exact. The backward loop carries only ``dh`` and ``dc`` as
+    [k_s, hidden] and fills ``dz``; then ``dx = dz @ w[:d]ᵀ``,
+    ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ dz``.
     """
-    batch, steps, d = x.data.shape
+    n, d = x.data.shape
     lens = np.asarray(lengths).tolist()
     four_h = b.data.shape[0]
     hidden = four_h // 4
     if w.data.shape != (d + hidden, four_h):
         raise ValueError(f"lstm weight shape {w.shape} != {(d + hidden, four_h)}")
-    if (len(lens) != batch or not lens or lens[-1] < 1 or lens[0] > steps
+    if (not lens or lens[-1] < 1 or sum(lens) != n
             or any(a < b for a, b in zip(lens, lens[1:]))):
-        raise ValueError(f"lstm lengths {lens} are not descending in [1, {steps}]")
-    ks, src, half, shift = _plan(tuple(lens), steps, hidden, reverse)
-    n = len(src)
+        raise ValueError(f"lstm lengths {lens} are not descending, >= 1 and summing to {n}")
+    batch = len(lens)
+    ks, src, out = _plan(tuple(lens), reverse)
+    slots = len(src)
+    half = np.repeat((0.5, 0.5, 1.0, 0.5), hidden)  # the gates are half·tanh(half·z) + shift
+    shift = 1.0 - half
     wx, wh = w.data[:d], w.data[d:]
     i_, f_, c_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    gates = x.data.reshape(-1, d)[src] @ wx  # becomes the gate values in place
+    gates = x.data[src] @ wx  # becomes the gate values in place
     gates += b.data
     gi, gf, gc, go = gates[:, i_], gates[:, f_], gates[:, c_], gates[:, o_]
-    cells = np.zeros((batch + n, hidden))  # rows B + s * B + r: after step s; rows r: the start
-    hs = np.zeros((batch + n, hidden))
+    cells = np.zeros((batch + slots, hidden))  # rows B + s * B + r: after step s; rows r: the start
+    hs = np.zeros((batch + slots, hidden))
     for s, k in enumerate(ks):
         now, before, after = slice(s * batch, s * batch + k), s * batch, (s + 1) * batch
         g = gates[now]
@@ -200,24 +214,22 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
         np.add(gf[now] * cells[before : before + k], gi[now] * gc[now],
                out=cells[after : after + k])
         np.multiply(go[now], np.tanh(cells[after : after + k]), out=hs[after : after + k])
-
-    y = np.zeros((batch * steps, hidden))
-    y[src] = hs[batch:]
-    out = Tensor(y.reshape(batch, steps, hidden), (x, w, b))
+    y = Tensor(hs[batch:][out], (x, w, b))
 
     def bw(grad: Array) -> None:
-        gy = grad.reshape(-1, hidden)[src]
+        gy = np.zeros((slots, hidden))
+        gy[out] = grad
         tanh_c = np.tanh(cells[batch:])  # recomputed, as are x's rows: the forward keeps less
         # step s: dc += dh * h_to_c; dz is dc * coef on i, f, c and dh * coef on o
         h_to_c = go * (1.0 - tanh_c * tanh_c)
-        coef = np.empty((n, 4, hidden))
+        coef = np.empty((slots, 4, hidden))
         np.multiply(gc, gi * (1.0 - gi), out=coef[:, 0])
         np.multiply(cells[:-batch], gf * (1.0 - gf), out=coef[:, 1])
         np.multiply(gi, 1.0 - gc * gc, out=coef[:, 2])
         np.multiply(tanh_c, go * (1.0 - go), out=coef[:, 3])
         coef_icf, coef_o = coef[:, :3], coef[:, 3]
-        dz_gates = np.zeros((n, 4, hidden))
-        dz, dz_icf, dz_o = dz_gates.reshape(n, four_h), dz_gates[:, :3], dz_gates[:, 3]
+        dz_gates = np.zeros((slots, 4, hidden))
+        dz, dz_icf, dz_o = dz_gates.reshape(slots, four_h), dz_gates[:, :3], dz_gates[:, 3]
         dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
         wh_t = wh.T
         for s in range(len(ks) - 1, -1, -1):
@@ -229,27 +241,25 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
             np.multiply(dh, coef_o[now], out=dz_o[now])
             np.dot(dz[now], wh_t, out=dh_next[:k])
             np.multiply(dc, gf[now], out=dc_next[:k])
-        dx = np.zeros((batch * steps, d))
-        dx[src] = dz @ wx.T
-        _accum(x, dx.reshape(x.data.shape))
-        _accum(w, np.vstack((x.data.reshape(-1, d)[src].T @ dz, hs[:-batch].T @ dz)))
+        _accum(x, (dz @ wx.T)[out])
+        _accum(w, np.vstack((x.data[src].T @ dz, hs[:-batch].T @ dz)))
         _accum(b, dz.sum(axis=0))
 
-    out._backward = bw
-    return out
+    y._backward = bw
+    return y
 
 
 def bilstm(
     x: Tensor, lengths: Sequence[int], wf: Tensor, bf: Tensor, wb: Tensor, bb: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Bidirectional LSTM over a padded batch, rows longest first.
+    """Bidirectional LSTM over a packed batch [N, d], sentences longest first.
 
-    Returns (per-token states [B, T, 2*hidden], zero past each row's length,
-    each row's final forward state [B, hidden], and its final backward state
-    [B, hidden]). The per-token state concatenates the two directions'.
+    Returns (per-token states [N, 2*hidden], each sentence's final forward
+    state [B, hidden], and its final backward state [B, hidden]). The
+    per-token state concatenates the two directions'.
     """
-    rows, last = np.arange(len(lengths)), np.asarray(lengths, dtype=np.intp) - 1
+    ends = np.cumsum(lengths)
     forward = lstm_seq(x, lengths, wf, bf, reverse=False)
     backward_states = lstm_seq(x, lengths, wb, bb, reverse=True)
-    states = concat((forward, backward_states), axis=2)
-    return states, take_rows(forward, (rows, last)), take_rows(backward_states, (rows, 0 * rows))
+    states = concat((forward, backward_states))
+    return states, take_rows(forward, ends - 1), take_rows(backward_states, ends - lengths)

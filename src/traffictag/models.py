@@ -72,7 +72,7 @@ ARCHITECTURES = tuple(_PRESETS)
 
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_LABELS)}
 
-# tweets per forward pass at inference: bounds the padded batch's memory
+# tweets per forward pass at inference: bounds the batch's working memory
 PREDICT_CHUNK = 32
 
 # one tweet's vocabulary ids and the id position of each original token
@@ -263,25 +263,22 @@ class Model:
         store, p = self.store, self._prefix
         ids, gathers = zip(*rows)
         counts = [len(g) for g in gathers]
-        if self.encoder == "cnn":  # a tweet shorter than the widest window is padded
+        if self.encoder == "cnn":  # a tweet shorter than the widest window gets [PAD]s, id 0
             ids = [row + [0] * (max(self.config.cnn_widths) - len(row)) for row in ids]
         lengths = [len(row) for row in ids]
-        padded = np.zeros((len(ids), max(lengths)), dtype=np.intp)  # 0 is [PAD] in both vocabs
-        for r, row in enumerate(ids):
-            padded[r, : len(row)] = row
-        x = embedding_lookup(store[f"{p}emb"], padded)
+        x = embedding_lookup(store[f"{p}emb"], [i for row in ids for i in row])
         if self.encoder == "cnn":
             pooled = [conv_max_pool(x, lengths, store[f"conv{w}.w"], store[f"conv{w}.b"])
                       for w in self.config.cnn_widths]
-            return None, concat(pooled, axis=1), counts
+            return None, concat(pooled), counts
         states, hf, hb = bilstm(
             x, lengths, store[f"{p}lstm_f.w"], store[f"{p}lstm_f.b"],
             store[f"{p}lstm_b.w"], store[f"{p}lstm_b.b"],
         )
-        tweet_rows = [r for r, g in enumerate(gathers) for _ in g]
-        token_states = take_rows(states, (tweet_rows, [i for g in gathers for i in g]))
-        sentence_states = concat((hf, hb), axis=1) if self.class_head else None
-        return token_states, sentence_states, counts
+        if self.subword_vocab is not None:  # each token's state is its first piece's
+            starts = (np.cumsum(lengths) - lengths).tolist()
+            states = take_rows(states, [start + i for start, g in zip(starts, gathers) for i in g])
+        return states, concat((hf, hb)) if self.class_head else None, counts
 
     def forward(
         self, rows: Sequence[Encoded], train: bool = False, rng=None
@@ -302,7 +299,7 @@ class Model:
         if self.tag_head:
             if self.enhanced:
                 tiled = take_rows(sentence_states, np.repeat(np.arange(len(counts)), counts))
-                token_states = concat((token_states, tiled), axis=1)
+                token_states = concat((token_states, tiled))
             tag_logits = affine(token_states, store[f"{self._tag}.w"], store[f"{self._tag}.b"])
         return class_logits, tag_logits, counts
 

@@ -210,11 +210,12 @@ def build_vocabularies(
     return WordVocab.build(train_corpus), None
 
 
-def _first_non_finite_gradient(store: ParamStore) -> str | None:
+def _first_non_finite_gradient(store: ParamStore) -> str:
+    """The first parameter with a non-finite gradient entry, or that none has one."""
     for name, t in store.params.items():
-        if t.grad is not None and not np.isfinite((t.grad * t.grad).sum()):
-            return name
-    return None
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            return f"first non-finite parameter gradient: {name}"
+    return "every parameter gradient is finite; only their squared norm overflowed"
 
 
 def train_model(
@@ -257,10 +258,8 @@ def train_model(
             else:
                 norm = global_norm(model.store)
             if not np.isfinite(norm):
-                raise TrainingDiverged(
-                    f"non-finite gradient norm at epoch {epoch}; first non-finite "
-                    f"parameter gradient: {_first_non_finite_gradient(model.store)}"
-                )
+                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch}; "
+                                       f"{_first_non_finite_gradient(model.store)}")
             grad_norm_max = max(grad_norm_max, norm)
             step(model.store, config.learning_rate)
         entry = {

@@ -161,6 +161,31 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{poisoned[1]}$"):
             train_model(tiny_config(arch), train_c, dev_c)
 
+    @pytest.mark.parametrize("poison,tail", [
+        ({"lstm_f.w": 1e200, "tag.w": np.inf}, "tag.w"),
+        ({"lstm_f.w": 1e200}, "only their squared norm overflowed"),
+    ], ids=["inf_after_huge", "huge_only"])
+    def test_huge_finite_gradient_is_not_named(self, splits, monkeypatch, poison, tail):
+        """A gradient whose squares overflow is still finite: the message
+        names the first gradient with a non-finite entry, or says there is
+        none."""
+        train_c, dev_c, _ = splits
+
+        def poisoned_loss(self, tweet, train=False, rng=None):
+            params = tuple(self.store[name] for name in poison)
+
+            def bw(g):
+                for p, value in zip(params, poison.values()):
+                    _accum(p, np.full(p.shape, value))
+
+            out = Tensor(1.0, params)
+            out._backward = bw
+            return out
+
+        monkeypatch.setattr(models.Model, "loss", poisoned_loss)
+        with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{tail}$"):
+            train_model(tiny_config("lstm_tagger"), train_c, dev_c)
+
     def test_grad_norm_max_is_logged_before_clipping(self, splits):
         train_c, dev_c, _ = splits
         _, log = train_model(tiny_config("lstm_tagger", clip_norm=1e-3), train_c, dev_c)
