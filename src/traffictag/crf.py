@@ -1,4 +1,4 @@
-"""Linear-chain CRF: exact log-partition, NLL and batched Viterbi.
+"""Linear-chain CRF: exact log-partition, batched NLL and batched Viterbi.
 
 A path through tags (y1..yn) scores
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bio
 from .autodiff import Array, Tensor, _accum
-from .layers import _plan
+from .layers import _walk
 
 NEG_INF = -1e4  # soft minus-infinity for constrained decoding
 
@@ -54,8 +54,6 @@ def _check_emissions(emissions: Tensor, crf: CrfModel) -> tuple[int, int]:
     if emissions.ndim != 2:
         raise ValueError(f"emissions must be [n, tags], got shape {emissions.shape}")
     n, t = emissions.data.shape
-    if n < 1:
-        raise ValueError("empty sequence: CRF needs at least one token")
     if t != crf.num_tags:
         raise ValueError(f"emission width {t} != tag count {crf.num_tags}")
     return n, t
@@ -68,67 +66,75 @@ def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return out.reshape(()) if axis is None else out.squeeze(axis)
 
 
-def _crf_op(emissions: Tensor, crf: CrfModel, gold: np.ndarray | None) -> Tensor:
-    """log Z, or log Z minus the gold path score, as one autodiff node.
+def _crf_op(emissions: Tensor, crf: CrfModel, lens: Sequence[int],
+            gold: np.ndarray | None) -> Tensor:
+    """Σ log Z of a packed batch of sentences of ``lens`` tokens, longest
+    first, minus the score of the gold paths in ``gold`` if any, as one node.
 
-    The forward pass runs the alpha recursion; the backward pass runs the
-    beta recursion and turns both into marginals. The gradient of log Z is
-    the unary marginals for emissions, the summed pairwise marginals for
-    transitions, and the first and last marginal rows for start and end; a
-    gold path subtracts its one-hot indicators and bigram counts.
+    The alpha (forward) and beta (backward) recursions run over
+    ``layers._plan``'s time-major rows. The gradient of Σ log Z is the unary
+    marginals for emissions, the summed pairwise marginals for transitions,
+    and the sentences' summed first and last unary rows for start and end;
+    gold paths subtract their one-hot indicators and bigram counts.
     """
-    e = emissions.data
     trans, start, end = crf.transitions.data, crf.start.data, crf.end.data
-    n = e.shape[0]
-    rows = np.arange(n)
+    ks, offs, src, out, prev = _walk(lens, emissions.data.shape[0])
+    batch = ks[0]
+    e = emissions.data[src]  # time-major: step 0 is rows [0, B), each sentence's first
+    before = prev[batch:] - batch  # for the rows of steps >= 1, their previous row
+    last = out[np.cumsum(lens) - 1]  # each sentence's last row
     alphas = np.empty_like(e)
-    alphas[0] = e[0] + start
-    for i in range(1, n):
-        alphas[i] = _logsumexp(alphas[i - 1][:, None] + trans, axis=0) + e[i]
-    log_z = _logsumexp(alphas[-1] + end)
-    value = log_z
+    alphas[:batch] = e[:batch] + start
+    for k, lo, lo_prev in zip(ks[1:], offs[1:], offs):
+        alphas[lo : lo + k] = (_logsumexp(alphas[lo_prev : lo_prev + k, :, None] + trans, axis=1)
+                               + e[lo : lo + k])
+    log_z = _logsumexp(alphas[last] + end, axis=1)
+    value = log_z.sum()
     if gold is not None:
-        value = log_z - (
-            start[gold[0]] + e[rows, gold].sum() + trans[gold[:-1], gold[1:]].sum() + end[gold[-1]]
-        )
-    out = Tensor(value, (emissions, crf.transitions, crf.start, crf.end))
+        gold = gold[src]
+        value -= (start[gold[:batch]].sum() + e[np.arange(len(e)), gold].sum()
+                  + trans[gold[before], gold[batch:]].sum() + end[gold[last]].sum())
+    out_t = Tensor(value, (emissions, crf.transitions, crf.start, crf.end))
 
     def bw(g: Array) -> None:
         betas = np.empty_like(e)
-        betas[-1] = end
-        for i in range(n - 2, -1, -1):
-            betas[i] = _logsumexp(trans + (e[i + 1] + betas[i + 1]), axis=1)
-        unary = np.exp(alphas + betas - log_z)
-        pairwise = np.exp(
-            alphas[:-1, :, None] + trans + (e[1:] + betas[1:])[:, None, :] - log_z
-        ).sum(axis=0)
+        betas[last] = end
+        for k, lo, lo_next in zip(ks[1:][::-1], offs[-2::-1], offs[:0:-1]):
+            # the first k rows of step s go on to step s + 1; the others end at s
+            betas[lo : lo + k] = _logsumexp(
+                trans + (e[lo_next : lo_next + k] + betas[lo_next : lo_next + k])[:, None, :],
+                axis=2)
+        z = np.repeat(log_z, lens)[src][:, None]  # each row's own sentence's log Z
+        unary = np.exp(alphas + betas - z)
+        pairwise = alphas[before, :, None] + trans  # [row, prev, cur], one array
+        pairwise += (e[batch:] + betas[batch:] - z[batch:])[:, None, :]
+        pairwise = np.exp(pairwise, out=pairwise).sum(axis=0)
         if gold is not None:
-            unary[rows, gold] -= 1.0
-            np.add.at(pairwise, (gold[:-1], gold[1:]), -1.0)
-        _accum(emissions, g * unary)
+            unary[np.arange(len(e)), gold] -= 1.0
+            np.add.at(pairwise, (gold[before], gold[batch:]), -1.0)
+        _accum(emissions, g * unary[out])
         _accum(crf.transitions, g * pairwise)
-        _accum(crf.start, g * unary[0])
-        _accum(crf.end, g * unary[-1])
+        _accum(crf.start, g * unary[:batch].sum(axis=0))
+        _accum(crf.end, g * unary[last].sum(axis=0))
 
-    out._backward = bw
-    return out
+    out_t._backward = bw
+    return out_t
 
 
 def log_partition(emissions: Tensor, crf: CrfModel) -> Tensor:
-    """log sum over all tag paths of exp(path score), differentiable."""
-    _check_emissions(emissions, crf)
-    return _crf_op(emissions, crf, None)
+    """log sum over all tag paths of one sentence of exp(path score), differentiable."""
+    n, _ = _check_emissions(emissions, crf)
+    return _crf_op(emissions, crf, [n], None)
 
 
-def nll(emissions: Tensor, crf: CrfModel, tags: Sequence[int]) -> Tensor:
-    """Negative log-likelihood of a gold path; non-negative by construction."""
-    n, t = _check_emissions(emissions, crf)
-    gold = np.asarray(tags, dtype=np.intp)
-    if gold.shape != (n,):
-        raise ValueError(f"gold path length {gold.size} != sequence length {n}")
-    if gold.min() < 0 or gold.max() >= t:
+def nll(emissions: Tensor, crf: CrfModel, paths: Sequence[Sequence[int]]) -> Tensor:
+    """Summed negative log-likelihood of the gold paths of sentences whose
+    emission rows lie back to back, longest first; non-negative by construction."""
+    _, t = _check_emissions(emissions, crf)
+    gold = np.array([tag for path in paths for tag in path], dtype=np.intp)
+    if np.any((gold < 0) | (gold >= t)):
         raise ValueError(f"gold tag out of range [0, {t})")
-    return _crf_op(emissions, crf, gold)
+    return _crf_op(emissions, crf, [len(path) for path in paths], gold)
 
 
 # additive masks (0 or NEG_INF) over the 9-tag BIO inventory, from the rule
@@ -149,38 +155,36 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
     """Highest-scoring tag path of each sentence in a batch, and its score.
 
     ``emissions`` holds the sentences' rows back to back, ``lengths[r]`` rows
-    for sentence r (default: one sentence), longest first, padded time-major
-    by ``layers._plan``, so step i extends the k_i sentences still running, a
-    prefix of ``delta`` [B, tags]. Ties break toward the lowest tag index at
-    every backtracking step. With ``constrained`` set, transitions that would
+    for sentence r (default: one sentence), longest first, read in
+    ``layers._plan``'s time-major rows, so step i extends the k_i sentences
+    still running, a prefix of ``delta`` [B, tags]. Ties break toward the
+    lowest tag index at every backtracking step. With ``constrained`` set, transitions that would
     produce an invalid BIO bigram (and I- tags at position 0) are masked out.
     """
     n, t = _check_emissions(emissions, crf)
-    lens = [n] if lengths is None else [int(m) for m in lengths]
-    if (not lens or lens[-1] < 1 or sum(lens) != n
-            or any(a < b for a, b in zip(lens, lens[1:]))):
-        raise ValueError(f"sentence lengths {lens} do not split {n} emission rows longest first")
+    lens = [n] if lengths is None else lengths
     trans, start = crf.transitions.data, crf.start.data
     if constrained:
         if t != bio.NUM_TAGS:
             raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
         trans, start = trans + BIO_TRANSITION_MASK, start + BIO_START_MASK
-    ks, src, _ = _plan(tuple(lens), False)
-    e = emissions.data[src].reshape(len(ks), len(lens), t)  # [step, sentence, tag]
-    delta = e[0] + start
-    backptr = np.zeros((len(ks), len(lens), t), dtype=np.intp)  # [step, sentence, tag]
-    for i, k in enumerate(ks[1:], 1):  # the k sentences longer than i are still running
+    ks, offs, src, _, _ = _walk(lens, n)
+    e = emissions.data[src]  # time-major rows, step 0 first
+    batch = ks[0]
+    delta = e[:batch] + start  # [sentence, tag]
+    backptr = np.zeros((n, t), dtype=np.intp)  # by time-major row
+    for k, lo in zip(ks[1:], offs[1:]):  # the k sentences longer than the step still run
         scores = delta[:k, :, None] + trans  # [sentence, prev, cur]
-        scores.argmax(axis=1, out=backptr[i, :k])  # argmax takes the lowest index on ties
+        scores.argmax(axis=1, out=backptr[lo : lo + k])  # argmax takes the lowest index on ties
         np.maximum.reduce(scores, axis=1, out=delta[:k])
-        delta[:k] += e[i, :k]
+        delta[:k] += e[lo : lo + k]
     delta += crf.end.data
     backptr = backptr.tolist()
     paths, best_scores = [], []
-    for r in range(len(lens)):
+    for r in range(batch):
         path = [int(delta[r].argmax())]
         best_scores.append(float(delta[r, path[0]]))
         for i in range(lens[r] - 1, 0, -1):
-            path.append(backptr[i][r][path[-1]])
+            path.append(backptr[offs[i] + r][path[-1]])
         paths.append(path[::-1])
     return paths, best_scores

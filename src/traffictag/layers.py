@@ -7,8 +7,8 @@ hand-written backward passes in a single op so that a batch of sentences
 costs a handful of graph nodes instead of hundreds. The tests'
 finite-difference checker covers each. A batch crosses every op boundary
 packed: its sentences' token rows back to back, [N, ·], with per-sentence
-lengths, longest first. Only the recurrences, ``lstm_seq`` here and Viterbi
-in ``crf``, pad, privately, by one cached ``_plan``.
+lengths, longest first. The recurrences, ``lstm_seq`` here and the CRF's in
+``crf``, walk it time-major, without padding, by one cached ``_plan``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,17 @@ import numpy as np
 from .autodiff import Array, Tensor, _accum, concat, take_rows
 
 
+def _rows_dot(a: Array, b: Array) -> Array:
+    """aᵀ b, summed in order over blocks of 256 rows. OpenBLAS splits a longer
+    inner dimension differently on one thread and on several (above 384 on an
+    AVX-512 core), and same-seed runs must not depend on that."""
+    rows = 256
+    out = a[:rows].T @ b[:rows]
+    for lo in range(rows, len(a), rows):
+        out += a[lo : lo + rows].T @ b[lo : lo + rows]
+    return out
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a matrix of rows."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -29,7 +40,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g: Array) -> None:
         _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        _accum(w, _rows_dot(x.data, g))
         _accum(b, g.sum(axis=0))
 
     out._backward = bw
@@ -80,7 +91,7 @@ def conv_max_pool(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor) -> Te
         for r, (start, win) in enumerate(zip(starts, windows)):
             gs = np.zeros((len(win), filters))
             gs[best[r], cols] = np.where(tops[r] > 0, g[r], 0.0)
-            _accum(w, win.T @ gs)
+            _accum(w, _rows_dot(win, gs))
             _accum(b, gs.sum(axis=0))
             gwin = gs @ w.data.T
             for j in range(width):
@@ -145,22 +156,38 @@ def softmax_xent(logits: Tensor, gold: int | Sequence[int]) -> tuple[Tensor, Arr
     return loss, probs.reshape(logits.shape)
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(lens: tuple[int, ...], reverse: bool) -> tuple[tuple[int, ...], Array, Array]:
-    """How a recurrence pads a packed batch of sentences of ``lens`` tokens,
-    longest first, time-major: the number of sentences active at each step;
-    for each [step, sentence] slot, flattened, the packed row it reads (an
-    inactive slot reads row 0, and its result is never used); and for each
-    packed row, its active slot. A reversed run reads each sentence from its
-    own end. The cached results are immutable."""
+# room for every per-tweet length in both directions and a round of chunks;
+# a training batch's plan seldom recurs, so more would mostly hold memory
+@functools.lru_cache(maxsize=64)
+def _plan(lens: tuple[int, ...], reverse: bool) -> tuple:
+    """How a recurrence walks a packed batch of sentences of ``lens`` tokens,
+    longest first, in time-major rows without padding: (ks, offs, src, out,
+    prev). Step s is rows offs[s] .. offs[s] + ks[s], one per sentence still
+    running. Time-major row j reads packed row src[j] (a reversed run reads
+    each sentence from its own end), and packed row i is row out[i]. Row j
+    follows row prev[j] of a [B + N] state array whose first B rows are the
+    start: B + offs[s - 1] + r for sentence r at step s > 0. The cached
+    arrays are read-only."""
     n = np.array(lens)
-    step = np.arange(lens[0])[:, None]
-    active = step < n
-    src = np.where(active, np.cumsum(n) - n + (n - 1 - step if reverse else step), 0).reshape(-1)
-    out = np.empty(n.sum(), dtype=np.intp)
-    out[src[active.reshape(-1)]] = np.flatnonzero(active)
-    src.flags.writeable = out.flags.writeable = False
-    return tuple(active.sum(axis=1).tolist()), src, out
+    ks = (n > np.arange(lens[0])[:, None]).sum(axis=1)
+    offs = np.cumsum(ks) - ks
+    step = np.repeat(np.arange(lens[0]), ks)
+    row = np.arange(n.sum()) - offs[step]  # the sentence of each time-major row
+    src = np.cumsum(n)[row] - n[row] + (n[row] - 1 - step if reverse else step)
+    out = np.empty_like(src)
+    out[src] = np.arange(len(src))
+    prev = np.where(step > 0, len(lens) + offs[step - 1] + row, row)
+    src.flags.writeable = out.flags.writeable = prev.flags.writeable = False
+    return tuple(ks.tolist()), tuple(offs.tolist()), src, out, prev
+
+
+def _walk(lengths: Sequence[int], n: int, reverse: bool = False) -> tuple:
+    """The ``_plan`` of sentences of ``lengths`` tokens that split n rows longest first."""
+    lens = tuple(int(m) for m in lengths)
+    if not lens or lens[-1] < 1 or sum(lens) != n or any(a < b for a, b in zip(lens, lens[1:])):
+        raise ValueError(f"sentence lengths {list(lens)} do not split {n} rows longest first "
+                         f"(descending, each >= 1)")
+    return _plan(lens, reverse)
 
 
 def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
@@ -173,27 +200,22 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
     the hidden state at input row i; a reversed run reads each sentence from
     its own end.
 
-    The working arrays are time-major by ``_plan`` (row s * B + r is
-    sentence r at step s), so the k_s sentences still active at step s, a
-    prefix of the batch, are one slice: no mask arithmetic. ``x @ w[:d] + b``
-    is one GEMM before the recurrence, which does one ``h @ w[d:]`` and one
-    ``tanh`` over the 4h gate row per step, as σ(z) = ½·tanh(½z) + ½ and
-    halving is exact. The backward loop carries only ``dh`` and ``dc`` as
-    [k_s, hidden] and fills ``dz``; then ``dx = dz @ w[:d]ᵀ``,
-    ``dw = [xᵀ dz; h_prevᵀ dz]`` and ``db = Σ dz``.
+    The working arrays hold ``_plan``'s time-major rows, so the k_s
+    sentences active at step s are one slice, and no row is padding.
+    ``x @ w[:d] + b`` is one GEMM before the recurrence, which does one
+    ``h @ w[d:]`` and one ``tanh`` over the 4h gate row per step, as
+    σ(z) = ½·tanh(½z) + ½ and halving is exact. The backward loop carries
+    only ``dh`` and ``dc`` as [k_s, hidden] and turns the gate factors into
+    ``dz`` in place; then ``dx = dz @ w[:d]ᵀ``, ``dw = [xᵀ dz; h_prevᵀ dz]``
+    and ``db = Σ dz``.
     """
     n, d = x.data.shape
-    lens = np.asarray(lengths).tolist()
     four_h = b.data.shape[0]
     hidden = four_h // 4
     if w.data.shape != (d + hidden, four_h):
         raise ValueError(f"lstm weight shape {w.shape} != {(d + hidden, four_h)}")
-    if (not lens or lens[-1] < 1 or sum(lens) != n
-            or any(a < b for a, b in zip(lens, lens[1:]))):
-        raise ValueError(f"lstm lengths {lens} are not descending, >= 1 and summing to {n}")
-    batch = len(lens)
-    ks, src, out = _plan(tuple(lens), reverse)
-    slots = len(src)
+    ks, offs, src, out, prev = _walk(lengths, n, reverse)
+    batch = ks[0]
     half = np.repeat((0.5, 0.5, 1.0, 0.5), hidden)  # the gates are half·tanh(half·z) + shift
     shift = 1.0 - half
     wx, wh = w.data[:d], w.data[d:]
@@ -201,10 +223,10 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
     gates = x.data[src] @ wx  # becomes the gate values in place
     gates += b.data
     gi, gf, gc, go = gates[:, i_], gates[:, f_], gates[:, c_], gates[:, o_]
-    cells = np.zeros((batch + slots, hidden))  # rows B + s * B + r: after step s; rows r: the start
-    hs = np.zeros((batch + slots, hidden))
-    for s, k in enumerate(ks):
-        now, before, after = slice(s * batch, s * batch + k), s * batch, (s + 1) * batch
+    cells = np.zeros((batch + n, hidden))  # rows B + j: after time-major row j; rows r: the start
+    hs = np.zeros((batch + n, hidden))
+    for k, lo in zip(ks, offs):  # step s reads its previous step's state from row prev[offs[s]] on
+        now, before, after = slice(lo, lo + k), prev[lo], batch + lo
         g = gates[now]
         g += np.dot(hs[before : before + k], wh)
         g *= half
@@ -217,32 +239,30 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
     y = Tensor(hs[batch:][out], (x, w, b))
 
     def bw(grad: Array) -> None:
-        gy = np.zeros((slots, hidden))
-        gy[out] = grad
+        gy = grad[src]
         tanh_c = np.tanh(cells[batch:])  # recomputed, as are x's rows: the forward keeps less
         # step s: dc += dh * h_to_c; dz is dc * coef on i, f, c and dh * coef on o
         h_to_c = go * (1.0 - tanh_c * tanh_c)
-        coef = np.empty((slots, 4, hidden))
+        coef = np.empty((n, 4, hidden))
         np.multiply(gc, gi * (1.0 - gi), out=coef[:, 0])
-        np.multiply(cells[:-batch], gf * (1.0 - gf), out=coef[:, 1])
+        np.multiply(cells[prev], gf * (1.0 - gf), out=coef[:, 1])
         np.multiply(gi, 1.0 - gc * gc, out=coef[:, 2])
         np.multiply(tanh_c, go * (1.0 - go), out=coef[:, 3])
-        coef_icf, coef_o = coef[:, :3], coef[:, 3]
-        dz_gates = np.zeros((slots, 4, hidden))
-        dz, dz_icf, dz_o = dz_gates.reshape(slots, four_h), dz_gates[:, :3], dz_gates[:, 3]
+        del tanh_c
+        dz, dz_icf, dz_o = coef.reshape(n, four_h), coef[:, :3], coef[:, 3]  # filled in place
         dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
         wh_t = wh.T
-        for s in range(len(ks) - 1, -1, -1):
-            k = ks[s]
-            now = slice(s * batch, s * batch + k)
+        for k, lo in zip(ks[::-1], offs[::-1]):
+            now = slice(lo, lo + k)
             dh = gy[now] + dh_next[:k]
             dc = dc_next[:k] + dh * h_to_c[now]
-            np.multiply(coef_icf[now], dc[:, None], out=dz_icf[now])
-            np.multiply(dh, coef_o[now], out=dz_o[now])
+            icf, o = dz_icf[now], dz_o[now]
+            icf *= dc[:, None]
+            o *= dh
             np.dot(dz[now], wh_t, out=dh_next[:k])
             np.multiply(dc, gf[now], out=dc_next[:k])
         _accum(x, (dz @ wx.T)[out])
-        _accum(w, np.vstack((x.data[src].T @ dz, hs[:-batch].T @ dz)))
+        _accum(w, np.vstack((_rows_dot(x.data[src], dz), _rows_dot(hs[prev], dz))))
         _accum(b, dz.sum(axis=0))
 
     y._backward = bw

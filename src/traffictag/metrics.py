@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import SLOT_TYPES, TRAFFIC, SlotSpan
@@ -114,7 +114,9 @@ class MetricReport:
     per_type: dict[str, dict[str, float]] | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, nested dicts copied; ``dataclasses.asdict``'s deep copy costs more."""
+        per_type = None if self.per_type is None else {k: dict(v) for k, v in self.per_type.items()}
+        return {**vars(self), "support": dict(self.support), "per_type": per_type}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

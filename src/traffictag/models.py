@@ -176,8 +176,8 @@ class Model:
     """An embedding and an encoder under an optional class head and an
     optional tag head, configured by one of the ``ARCHITECTURES`` presets.
 
-    The loss sums the class cross-entropy and the tag head's loss: summed
-    per-token cross-entropies, or the CRF negative log-likelihood.
+    A tweet's loss sums the class cross-entropy and the tag head's loss:
+    summed per-token cross-entropies, or the CRF negative log-likelihood.
     Continuation subtokens contribute nothing, since tag logits exist only at
     first-subtoken positions.
     """
@@ -319,17 +319,22 @@ class Model:
         store = self.store
         return crf_mod.CrfModel(store["crf.trans"], store["crf.start"], store["crf.end"])
 
-    def loss(self, tweet: Tweet, train: bool = False, rng=None) -> Tensor:
-        class_logits, tag_logits, _ = self.forward([self._ids(tweet.tokens)], train, rng)
+    def loss(self, tweets: Sequence[Tweet], train: bool = False, rng=None) -> Tensor:
+        """The summed loss of a batch of tweets: one forward pass, in the
+        order ``predict`` gives a chunk."""
+        rows = [self._ids(t.tokens) for t in tweets]
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]))[::-1]
+        tweets = [tweets[i] for i in order]
+        class_logits, tag_logits, _ = self.forward([rows[i] for i in order], train, rng)
         terms = []
         if class_logits is not None:
-            terms.append(softmax_xent(class_logits, [_gold_class(tweet)])[0])
+            terms.append(softmax_xent(class_logits, [_gold_class(t) for t in tweets])[0])
         if tag_logits is not None:
-            gold = _gold_tag_ids(tweet)
+            gold = [_gold_tag_ids(t) for t in tweets]
             if self.tag_head == "crf":
                 terms.append(crf_mod.nll(tag_logits, self.crf, gold))
             else:
-                terms.append(softmax_xent(tag_logits, gold)[0])
+                terms.append(softmax_xent(tag_logits, [i for g in gold for i in g])[0])
         return terms[0] if len(terms) == 1 else add(*terms)
 
     def predict(self, tweets: Sequence[Tweet]) -> list[Prediction]:

@@ -59,11 +59,14 @@ class ParamStore:
 
 
 def global_norm(store: ParamStore) -> float:
-    """L2 norm of all gradients together; missing gradients count as zero."""
-    total = 0.0
-    for t in store.params.values():
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+    """L2 norm of all gradients together; missing gradients count as zero. If
+    finite entries overflow the sum of squares, it is rescaled by the largest."""
+    grads = [t.grad for t in store.params.values() if t.grad is not None]
+    with np.errstate(over="ignore"):
+        total = sum(float((g * g).sum()) for g in grads)
+    if math.isinf(total) and all(np.isfinite(g).all() for g in grads):
+        top = max(float(np.abs(g).max()) for g in grads)
+        return top * math.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads))
     return math.sqrt(total)
 
 

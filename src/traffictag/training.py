@@ -10,6 +10,7 @@ criterion) becomes the final model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -121,6 +122,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         return cls(model=ModelConfig.from_dict(model_kwargs), **data)
 
+    @functools.lru_cache(maxsize=64)  # frozen, so each distinct config is hashed once
     def config_hash(self) -> str:
         """Identifies the experiment; the output directory is not part of it."""
         flat = self.to_flat_dict()
@@ -215,7 +217,7 @@ def _first_non_finite_gradient(store: ParamStore) -> str:
     for name, t in store.params.items():
         if t.grad is not None and not np.isfinite(t.grad).all():
             return f"first non-finite parameter gradient: {name}"
-    return "every parameter gradient is finite; only their squared norm overflowed"
+    return "every parameter gradient is finite; only their norm overflowed"
 
 
 def train_model(
@@ -223,6 +225,8 @@ def train_model(
 ) -> tuple[Model, RunLog]:
     """Train one model and return it with its run log (test not yet filled)."""
     started = time.perf_counter()
+    if len(train_corpus) == 0:
+        raise CorpusError("cannot train on an empty corpus")
     word_vocab, sub_vocab = build_vocabularies(config, train_corpus)
     model = build_model(
         config.architecture, config.model, config.seed, word_vocab, sub_vocab
@@ -238,21 +242,19 @@ def train_model(
     best_snapshot = None
     for epoch in range(1, max(config.epoch_candidates) + 1):
         order = np.random.default_rng([config.seed, 11, epoch]).permutation(len(tweets))
-        epoch_losses = []
+        loss_sum = 0.0
         grad_norm_max = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
+            batch = [tweets[i] for i in order[lo : lo + config.batch_size].tolist()]
             model.store.zero_grad()
-            scale = 1.0 / len(batch)
-            for i in batch:
-                loss = model.loss(tweets[int(i)], train=True, rng=dropout_rng)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} on tweet {tweets[int(i)].id}"
-                    )
-                epoch_losses.append(value)
-                backward(mul_const(loss, scale))
+            loss = model.loss(batch, train=True, rng=dropout_rng)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch} on the batch of "
+                                       f"{len(batch)} tweets {', '.join(t.id for t in batch)}")
+            loss_sum += value
+            backward(mul_const(loss, 1.0 / len(batch)))
+            del loss  # frees the batch's graph before the optimizer's temporaries
             if config.clip_norm > 0:
                 norm = clip_global_norm(model.store, config.clip_norm)
             else:
@@ -264,7 +266,7 @@ def train_model(
             step(model.store, config.learning_rate)
         entry = {
             "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
+            "train_loss": loss_sum / len(tweets),
             "grad_norm_max": grad_norm_max,
         }
         if epoch in config.epoch_candidates:

@@ -1,8 +1,9 @@
 """Shared generators for randomized property tests, the finite-difference
 gradient checker and its random-cotangent reducer, the CRF's brute-force
-enumeration oracle, the per-token LSTM loop that ``lstm_seq`` is checked
-against, the metric report's schema oracle, and a checkpoint archive's
-payload reader and writer for damage tests."""
+enumeration oracle, the per-sentence CRF op and the per-token LSTM loop that
+the batched ``crf.nll`` and ``lstm_seq`` are checked against, the metric
+report's schema oracle, and a checkpoint archive's payload reader and writer
+for damage tests."""
 
 from __future__ import annotations
 
@@ -121,6 +122,54 @@ def brute_force_oracle(
     m = arr.max()
     log_z = float(m + np.log(np.exp(arr - m).sum()))
     return log_z, best_path, float(best_score)
+
+
+def crf_reference(emissions: Tensor, crf: CrfModel, gold: Iterable[int] | None = None) -> Tensor:
+    """One sentence's log Z, or log Z minus its gold path score, as one
+    autodiff node: the per-sentence alpha and beta recursions that the
+    batched ``crf.nll`` sums over sentences, kept as its test reference."""
+    e = emissions.data
+    trans, start, end = crf.transitions.data, crf.start.data, crf.end.data
+    n = e.shape[0]
+    rows = np.arange(n)
+    alphas = np.empty_like(e)
+    alphas[0] = e[0] + start
+    for i in range(1, n):
+        alphas[i] = _logsumexp(alphas[i - 1][:, None] + trans, axis=0) + e[i]
+    log_z = _logsumexp(alphas[-1] + end)
+    value = log_z
+    if gold is not None:
+        gold = np.asarray(list(gold), dtype=np.intp)
+        value = log_z - (
+            start[gold[0]] + e[rows, gold].sum() + trans[gold[:-1], gold[1:]].sum() + end[gold[-1]]
+        )
+    out = Tensor(value, (emissions, crf.transitions, crf.start, crf.end))
+
+    def bw(g: np.ndarray) -> None:
+        betas = np.empty_like(e)
+        betas[-1] = end
+        for i in range(n - 2, -1, -1):
+            betas[i] = _logsumexp(trans + (e[i + 1] + betas[i + 1]), axis=1)
+        unary = np.exp(alphas + betas - log_z)
+        pairwise = np.exp(
+            alphas[:-1, :, None] + trans + (e[1:] + betas[1:])[:, None, :] - log_z
+        ).sum(axis=0)
+        if gold is not None:
+            unary[rows, gold] -= 1.0
+            np.add.at(pairwise, (gold[:-1], gold[1:]), -1.0)
+        _accum(emissions, g * unary)
+        _accum(crf.transitions, g * pairwise)
+        _accum(crf.start, g * unary[0])
+        _accum(crf.end, g * unary[-1])
+
+    out._backward = bw
+    return out
+
+
+def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
+    return out.reshape(()) if axis is None else out.squeeze(axis)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

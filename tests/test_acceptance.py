@@ -107,7 +107,7 @@ def test_gradient_checks_all_architectures():
     for arch in ("cnn", "lstm_classifier", "lstm_tagger", "lstm_crf", "joint", "enhanced_joint"):
         model = build_model(arch, GRADCHECK_CONFIG, seed=41,
                             word_vocab=word_vocab, subword_vocab=sub_vocab)
-        worst[arch] = grad_check(lambda: model.loss(tweet), model.store.params.values())
+        worst[arch] = grad_check(lambda: model.loss([tweet]), model.store.params.values())
         assert worst[arch] <= 1e-4, f"{arch}: rel error {worst[arch]:.3e}"
     elapsed = time.perf_counter() - started
     _criterion(

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traffictag
 from helpers import cotangent, grad_check, lstm_seq_reference, project
 from traffictag.autodiff import (
     Tensor,
@@ -17,6 +22,7 @@ from traffictag.autodiff import (
 )
 from traffictag.layers import (
     _plan,
+    _rows_dot,
     affine,
     bilstm,
     conv_max_pool,
@@ -358,9 +364,47 @@ class TestLayerContracts:
             embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
 
 
+# one lstm_seq and one affine head over 520 rows at the default widths; prints
+# a digest of the weight gradients, which sum over all the rows
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from traffictag.autodiff import Tensor, backward
+from traffictag.layers import affine, lstm_seq, softmax_xent
+rng = np.random.default_rng(0)
+x = Tensor(rng.standard_normal((520, 160)))
+w, b = Tensor(rng.uniform(-0.1, 0.1, (288, 512))), Tensor(np.zeros(512))
+head_w, head_b = Tensor(rng.uniform(-0.1, 0.1, (128, 9))), Tensor(np.zeros(9))
+logits = affine(lstm_seq(x, [30] * 10 + [20] * 10 + [10] * 2, w, b), head_w, head_b)
+backward(softmax_xent(logits, rng.integers(0, 9, 520))[0])
+print(hashlib.sha256(w.grad.tobytes() + head_w.grad.tobytes()).hexdigest())
+"""
+
+
+class TestRowsDot:
+    def test_matches_one_product(self):
+        rng = np.random.default_rng(23)
+        for rows in (0, 1, 255, 256, 257, 700):
+            a, b = rng.standard_normal((rows, 7)), rng.standard_normal((rows, 5))
+            assert _rows_dot(a, b).shape == (7, 5)
+            assert np.abs(_rows_dot(a, b) - a.T @ b).max() <= 1e-12 * max(1, rows)
+
+    def test_weight_gradients_ignore_blas_thread_count(self):
+        """Same inputs, one and two BLAS threads, in fresh processes: the
+        weight gradients are bit-identical."""
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(traffictag.__file__).parents[1]))
+            digests.add(subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(digests) == 1
+
+
 class TestPlan:
-    """``layers._plan``, the padding that ``lstm_seq`` and ``crf.viterbi``
-    share: time-major slot s * B + r is sentence r at step s."""
+    """``layers._plan``, the time-major walk that ``lstm_seq`` and the CRF
+    share: step s is rows offs[s] .. offs[s] + ks[s], sentence r at row
+    offs[s] + r, and no row is padding."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_maps_are_inverse_on_active_slots(self, reverse):
@@ -369,24 +413,29 @@ class TestPlan:
         cases += [tuple(sorted(rng.integers(1, 12, rng.integers(1, 9)).tolist(), reverse=True))
                   for _ in range(100)]
         for lens in cases:
-            ks, src, out = _plan(lens, reverse)
+            ks, offs, src, out, prev = _plan(lens, reverse)
             batch, n = len(lens), sum(lens)
             starts = np.cumsum(lens) - lens
             # the rows active at step s are the prefix of rows longer than s
             assert ks == tuple(sum(m > s for m in lens) for s in range(lens[0]))
-            active = [s * batch + r for s, k in enumerate(ks) for r in range(k)]
-            assert src.shape == (lens[0] * batch,) and out.shape == (n,)
-            assert not src.flags.writeable and not out.flags.writeable  # they are cached
-            # each packed row is read by exactly one active slot, the one it maps to
-            assert sorted(src[active]) == list(range(n))
-            assert out[src[active]].tolist() == active
+            assert offs == tuple(np.cumsum((0,) + ks[:-1]).tolist())
+            assert src.shape == out.shape == prev.shape == (n,)
+            for a in (src, out, prev):  # they are cached
+                assert not a.flags.writeable
+            # each packed row is read by exactly one time-major row, the one it maps to
+            assert sorted(src) == list(range(n))
+            assert out[src].tolist() == list(range(n))
             assert src[out].tolist() == list(range(n))
-            assert not np.any(np.delete(src, active))  # an inactive slot reads row 0
             first = starts + np.array(lens) - 1 if reverse else starts
             assert src[:batch].tolist() == first.tolist()  # a reversed row starts at its end
-            for slot in active:
-                s, r = divmod(slot, batch)
-                assert src[slot] == starts[r] + (lens[r] - 1 - s if reverse else s)
+            for s, (k, lo) in enumerate(zip(ks, offs)):
+                for r in range(k):
+                    j = lo + r
+                    assert src[j] == starts[r] + (lens[r] - 1 - s if reverse else s)
+                    # the same sentence one step earlier, or its initial state
+                    assert prev[j] == (r if s == 0 else batch + offs[s - 1] + r)
+                    if s:
+                        assert src[prev[j] - batch] == src[j] + (1 if reverse else -1)
 
 
 def _lstm_weights(rng, d, hidden):

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_oracle, grad_check
+from helpers import brute_force_oracle, crf_reference, grad_check
 from traffictag import bio
-from traffictag.autodiff import Tensor, backward
+from traffictag.autodiff import Tensor, backward, take_rows
 from traffictag.crf import (
     BIO_START_MASK,
     BIO_TRANSITION_MASK,
@@ -39,6 +39,14 @@ def random_instance(rng: np.random.Generator, n: int, t: int):
         Tensor(rng.uniform(-2, 2, size=t)),
     )
     return emissions, model
+
+
+def random_batch(rng: np.random.Generator, t: int, max_len: int):
+    """A packed batch of 1-8 sentences of 1..max_len tokens, longest first,
+    with one random gold path each."""
+    lens = sorted(rng.integers(1, max_len + 1, int(rng.integers(1, 9))).tolist(), reverse=True)
+    emissions, model = random_instance(rng, sum(lens), t)
+    return emissions, model, [rng.integers(0, t, n).tolist() for n in lens]
 
 
 def enumerated_nll_gradients(emissions, model, gold):
@@ -117,19 +125,19 @@ class TestLogPartition:
 class TestNll:
     def test_hand_value(self):
         emissions = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        loss = nll(emissions, zero_model(2), [0, 1])
+        loss = nll(emissions, zero_model(2), [[0, 1]])
         assert float(loss.data) == pytest.approx(2.6265233750364456 - 2.0, abs=1e-12)
 
     def test_uniform_any_gold(self):
         for gold in ([0, 0], [0, 1], [1, 0], [1, 1]):
-            loss = nll(Tensor(np.zeros((2, 2))), zero_model(2), gold)
+            loss = nll(Tensor(np.zeros((2, 2))), zero_model(2), [gold])
             assert float(loss.data) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_nonnegative_and_minimal_at_viterbi(self):
         emissions = Tensor([[1.0, 0.0], [0.0, 1.0]])
         model = zero_model(2)
         losses = {
-            (a, b): float(nll(emissions, model, [a, b]).data)
+            (a, b): float(nll(emissions, model, [[a, b]]).data)
             for a in range(2)
             for b in range(2)
         }
@@ -139,25 +147,80 @@ class TestNll:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            nll(Tensor(np.zeros((2, 2))), zero_model(2), [0])
+            nll(Tensor(np.zeros((2, 2))), zero_model(2), [[0]])
 
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError):
-            nll(Tensor(np.zeros((2, 2))), zero_model(2), [0, 5])
+            nll(Tensor(np.zeros((2, 2))), zero_model(2), [[0, 5]])
 
     def test_single_token_has_zero_transition_gradient(self):
         rng = np.random.default_rng(4)
         emissions, model = random_instance(rng, 1, 5)
-        backward(nll(emissions, model, [3]))
+        backward(nll(emissions, model, [[3]]))
         assert np.array_equal(model.transitions.grad, np.zeros((5, 5)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         emissions, model = random_instance(rng, 4, 4)
         params = [emissions, model.transitions, model.start, model.end]
-        err = grad_check(lambda: nll(emissions, model, [0, 2, 1, 3]), params)
+        err = grad_check(lambda: nll(emissions, model, [[0, 2, 1, 3]]), params)
         assert err < 1e-6
         assert grad_check(lambda: log_partition(emissions, model), params) < 1e-6
+
+
+class TestBatchedNll:
+    """``nll`` over a packed batch of mixed lengths: the sum of its
+    sentences' terms, against the per-sentence reference op and the
+    enumeration oracle."""
+
+    def test_matches_per_sentence_reference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            emissions, model, paths = random_batch(rng, int(rng.integers(2, 10)), 12)
+            params = [emissions, model.transitions, model.start, model.end]
+            loss = nll(emissions, model, paths)
+            backward(loss)
+            batched = [p.grad for p in params]
+            for p in params:
+                p.grad = None
+            rows = np.cumsum([0] + [len(path) for path in paths])
+            total = 0.0
+            for i, path in enumerate(paths):
+                one = crf_reference(take_rows(emissions, range(rows[i], rows[i + 1])), model, path)
+                total += float(one.data)
+                backward(one)
+            assert abs(float(loss.data) - total) <= 1e-12 * max(1.0, abs(total))
+            for got, p in zip(batched, params):
+                assert np.abs(got - p.grad).max() <= 1e-12
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            emissions, model, paths = random_batch(rng, int(rng.integers(2, 5)), 5)
+            params = [emissions, model.transitions, model.start, model.end]
+            loss = nll(emissions, model, paths)
+            backward(loss)
+            rows = np.cumsum([0] + [len(path) for path in paths])
+            value, expected = 0.0, [np.zeros_like(p.data) for p in params]
+            for i, path in enumerate(paths):
+                e = emissions.data[rows[i] : rows[i + 1]]
+                log_z, _, _ = brute_force_oracle(e, model)
+                value += log_z - (model.start.data[path[0]] + e[np.arange(len(path)), path].sum()
+                                  + model.transitions.data[path[:-1], path[1:]].sum()
+                                  + model.end.data[path[-1]])
+                grads = enumerated_nll_gradients(Tensor(e), model, path)
+                expected[0][rows[i] : rows[i + 1]] = grads[0]
+                for want, g in zip(expected[1:], grads[1:]):
+                    want += g
+            assert abs(float(loss.data) - value) < 1e-10
+            for p, want in zip(params, expected):
+                assert np.abs(p.grad - want).max() < 1e-10
+
+    def test_paths_must_split_the_rows(self):
+        # [[0], [0, 1]] is not longest first
+        for paths in ([[0], [0, 1]], [[0, 1]], [[0, 1, 1], []], []):
+            with pytest.raises(ValueError, match="do not split"):
+                nll(Tensor(np.zeros((3, 2))), zero_model(2), paths)
 
 
 class TestViterbi:
@@ -246,7 +309,7 @@ class TestOracleAgreement:
             emissions, model = random_instance(rng, n, t)
             gold = rng.integers(0, t, n).tolist()
             params = [emissions, model.transitions, model.start, model.end]
-            backward(nll(emissions, model, gold))
+            backward(nll(emissions, model, [gold]))
             expected = enumerated_nll_gradients(emissions, model, gold)
             for p, want in zip(params, expected):
                 assert np.max(np.abs(p.grad - want)) < 1e-10

@@ -166,8 +166,8 @@ class TestPresets:
         model = build_model(arch, SMALL, seed=14, word_vocab=word_vocab, subword_vocab=sub_vocab)
         rng = np.random.default_rng(0)
         for edge in edge_tweets(tweet):
-            assert np.isfinite(float(model.loss(edge).data)), edge.id
-            assert np.isfinite(float(model.loss(edge, train=True, rng=rng).data)), edge.id
+            assert np.isfinite(float(model.loss([edge]).data)), edge.id
+            assert np.isfinite(float(model.loss([edge], train=True, rng=rng).data)), edge.id
             pred = predict(model, edge)
             if model.tag_head:
                 assert len(pred.tags) == len(edge.tokens), edge.id
@@ -219,6 +219,52 @@ class TestBatchedPredict:
         tweets = list(corpus)[:40]
         assert model.predict(tweets) == [predict(model, t) for t in tweets]
         assert model.predict([]) == []
+
+
+class TestBatchedLoss:
+    """``Model.loss`` runs a batch as one graph; it must equal the one-tweet
+    graphs that training ran before."""
+
+    @pytest.mark.parametrize("arch,encoder", [
+        *((arch, "word") for arch in ARCHITECTURES),
+        ("joint", "subword"), ("enhanced_joint", "subword"),
+    ])
+    def test_batch_equals_sum_of_single_tweets(self, arch, encoder, word_vocab, sub_vocab,
+                                               corpus, tweet):
+        """Mixed lengths, the edge cases among them, not given longest
+        first, dropout off: the batch loss and every parameter gradient
+        equal their sums over one-tweet batches."""
+        config = dataclasses.replace(SMALL, encoder=encoder, dropout=0.0)
+        model = build_model(arch, config, seed=18, word_vocab=word_vocab, subword_vocab=sub_vocab)
+        tweets = list(corpus)[:20] + edge_tweets(tweet)
+        assert len({len(t.tokens) for t in tweets}) > 5
+        batched = model.loss(tweets)
+        backward(batched)
+        grads = {name: t.grad for name, t in model.store.params.items()}
+        model.store.zero_grad()
+        total = 0.0
+        for t in tweets:
+            loss = model.loss([t])
+            total += float(loss.data)
+            backward(loss)
+        assert abs(float(batched.data) - total) <= 1e-12 * abs(total)
+        for name, t in model.store.params.items():
+            assert (grads[name] is None) == (t.grad is None), name
+            if t.grad is not None:
+                scale = max(1.0, np.abs(t.grad).max())
+                assert np.abs(grads[name] - t.grad).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_gradcheck_batched_loss(self, arch, tweet):
+        """Finite differences on a three-tweet batch of lengths 5, 2 and 4,
+        over a vocabulary of the batch's own words and pieces."""
+        batch = [Tweet(f"b{n}", " ".join(tweet.tokens[:n]), tweet.tokens[:n], label,
+                       tuple(s for s in tweet.spans if s.end <= n))
+                 for n, label in ((5, TRAFFIC), (2, NON_TRAFFIC), (4, TRAFFIC))]
+        model = build_model(arch, SMALL, seed=19, word_vocab=WordVocab.build(batch),
+                            subword_vocab=subword.build_vocab(batch, 60))
+        err = grad_check(lambda: model.loss(batch), model.store.params.values())
+        assert err < 1e-4, arch
 
 
 class TestClassifiers:
@@ -322,7 +368,7 @@ class TestJoint:
 
     def test_loss_paths_agree(self, sub_vocab, tweet):
         model = build_model("enhanced_joint", SMALL, seed=9, subword_vocab=sub_vocab)
-        tensor_loss = float(model.loss(tweet).data)
+        tensor_loss = float(model.loss([tweet]).data)
         # factorized joint NLL from the probabilities: -log p(class) - sum_i log p(tag_i)
         cls_p, tag_p = class_probs(model, tweet.tokens), tag_probs(model, tweet.tokens)
         gold_tags = bio.encode_spans(len(tweet.tokens), tweet.spans)
@@ -371,7 +417,7 @@ class TestPredictGlue:
         for arch in ("cnn", "lstm_crf", "enhanced_joint"):
             model = build_model(arch, SMALL, seed=12,
                                 word_vocab=word_vocab, subword_vocab=sub_vocab)
-            err = grad_check(lambda: model.loss(short), model.store.params.values())
+            err = grad_check(lambda: model.loss([short]), model.store.params.values())
             assert err < 1e-4, arch
 
 

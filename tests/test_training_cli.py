@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import re
 import zipfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from traffictag import models, training
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
 from traffictag.corpus import (
+    CorpusError,
     GeneratorConfig,
     generate_synthetic,
     load_corpus,
@@ -132,14 +134,26 @@ class TestTraining:
         for name in model_a.store.params:
             assert np.array_equal(model_a.store[name].data, model_b.store[name].data)
 
+    def test_empty_training_corpus_rejected(self, splits):
+        _, dev_c, _ = splits
+        empty = dataclasses.replace(dev_c, tweets=())
+        with pytest.raises(CorpusError, match="cannot train on an empty corpus"):
+            train_model(tiny_config("lstm_tagger"), empty, dev_c)
+
     def test_divergence_detected(self, splits, monkeypatch):
+        """A non-finite batch loss names the batch: its size and tweet ids."""
         train_c, dev_c, _ = splits
+        batches = []
         monkeypatch.setattr(
             models.Model, "loss",
-            lambda self, tweet, train=False, rng=None: Tensor(np.nan),
+            lambda self, tweets, train=False, rng=None: batches.append(tweets) or Tensor(np.nan),
         )
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as caught:
             train_model(tiny_config("cnn"), train_c, dev_c)
+        [first] = batches
+        assert len(first) == 16
+        assert f"epoch 1 on the batch of 16 tweets {first[0].id}, " in str(caught.value)
+        assert str(caught.value).endswith(f", {first[-1].id}")
 
     @pytest.mark.parametrize("arch", ["cnn", "lstm_tagger"])  # unclipped, clipped
     def test_non_finite_gradient_names_first_parameter(self, splits, monkeypatch, arch):
@@ -163,15 +177,17 @@ class TestTraining:
 
     @pytest.mark.parametrize("poison,tail", [
         ({"lstm_f.w": 1e200, "tag.w": np.inf}, "tag.w"),
-        ({"lstm_f.w": 1e200}, "only their squared norm overflowed"),
-    ], ids=["inf_after_huge", "huge_only"])
+        ({"lstm_f.w": 1e200}, None),
+        ({"lstm_f.w": 1e308}, "only their norm overflowed"),
+    ], ids=["inf_after_huge", "huge_only", "norm_overflows"])
     def test_huge_finite_gradient_is_not_named(self, splits, monkeypatch, poison, tail):
-        """A gradient whose squares overflow is still finite: the message
-        names the first gradient with a non-finite entry, or says there is
-        none."""
+        """A gradient whose squares overflow is still finite: with a finite
+        norm it is clipped and training finishes (tail None), logging the
+        norm before clipping; otherwise the message names the first gradient
+        with a non-finite entry, or says there is none."""
         train_c, dev_c, _ = splits
 
-        def poisoned_loss(self, tweet, train=False, rng=None):
+        def poisoned_loss(self, tweets, train=False, rng=None):
             params = tuple(self.store[name] for name in poison)
 
             def bw(g):
@@ -183,6 +199,13 @@ class TestTraining:
             return out
 
         monkeypatch.setattr(models.Model, "loss", poisoned_loss)
+        if tail is None:
+            model, log = train_model(tiny_config("lstm_tagger"), train_c, dev_c)
+            size = model.store["lstm_f.w"].data.size
+            assert [e["grad_norm_max"] for e in log.epochs] == [
+                pytest.approx(1e200 * math.sqrt(size), rel=1e-12)] * 2
+            assert all(np.isfinite(t.data).all() for t in model.store.params.values())
+            return
         with pytest.raises(TrainingDiverged, match=rf"epoch 1\b.*{tail}$"):
             train_model(tiny_config("lstm_tagger"), train_c, dev_c)
 
