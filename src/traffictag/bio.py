@@ -40,27 +40,25 @@ def encode_spans(token_count: int, spans: Sequence[SlotSpan]) -> list[str]:
     return tags
 
 
+# (kind, slot_type) of every known tag, split once
+_SPLIT = {tag: split_tag(tag) for tag in TAGS}
+
+
 def decode_tags(tags: Sequence[str]) -> list[SlotSpan]:
     """Decode tags into spans, repairing stray I- tags as span starts."""
     spans: list[SlotSpan] = []
     open_type: str | None = None
     open_start = 0
-
-    def close(end: int) -> None:
-        nonlocal open_type
-        if open_type is not None:
-            spans.append(SlotSpan(open_type, open_start, end))
-            open_type = None
-
     for i, tag in enumerate(tags):
-        kind, slot = split_tag(tag)
-        if kind == OUTSIDE:
-            close(i)
-        elif kind == "B" or slot != open_type:
-            # stray/mismatched I- falls through here and starts a new span
-            close(i)
-            open_type, open_start = slot, i
-    close(len(tags))
+        kind, slot = _SPLIT.get(tag) or split_tag(tag)  # split_tag raises on an unknown tag
+        if kind == "I" and slot == open_type:
+            continue
+        # O closes the open span; B, or a stray or mismatched I-, also starts a new one
+        if open_type is not None:
+            spans.append(SlotSpan(open_type, open_start, i))
+        open_type, open_start = slot, i
+    if open_type is not None:
+        spans.append(SlotSpan(open_type, open_start, len(tags)))
     return spans
 
 

@@ -140,8 +140,10 @@ class Corpus:
 # Normalization and splitting
 # ---------------------------------------------------------------------------
 
-# scheme://anything or www.anything, dropped before tokenization
-_URL_RE = re.compile(r"(?:[a-z][a-z0-9+.-]*://\S+|www\.\S+)", re.IGNORECASE)
+# scheme://anything or www.anything, dropped before tokenization. A scheme is
+# sought only where a run of scheme characters starts, keeping the run's leading
+# non-letters (group 1): the search stays linear on a long run without "://".
+_URL_RE = re.compile(r"(?<![a-z0-9+.-])([0-9+.-]*)[a-z][a-z0-9+.-]*://\S+|www\.\S+", re.IGNORECASE)
 
 
 def normalize_tweet(raw_text: str) -> list[str]:
@@ -151,7 +153,7 @@ def normalize_tweet(raw_text: str) -> list[str]:
     whitespace, and every punctuation character becomes its own token.
     Raises DegenerateTweetError when nothing survives.
     """
-    text = _URL_RE.sub(" ", raw_text).lower()
+    text = _URL_RE.sub(r"\1 ", raw_text).lower()
     parts: list[str] = []
     for ch in text:
         if unicodedata.category(ch).startswith("P"):

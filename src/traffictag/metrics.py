@@ -1,11 +1,11 @@
 """Evaluation metrics: classification F1, exact-match span F1, sentence accuracy.
 
-Span credit is all-or-nothing: a predicted span is a true positive only when
-its type, start, and end all match a gold span, and each gold span can match
-at most one prediction. A sentence counts for sentence accuracy only when its
-class and its complete span set are both exactly right. Zero denominators
-yield 0 by convention; support counts are reported so degenerate sets stay
-visible.
+``score`` tallies all of them in one pass. Span credit is all-or-nothing: a
+predicted span is a true positive only when its type, start, and end all
+match a gold span, and each gold span can match at most one prediction. A
+sentence counts for sentence accuracy only when its class and its span set
+(duplicates aside) are both exactly right. Zero denominators yield 0 by
+convention; support counts are reported so degenerate sets stay visible.
 """
 
 from __future__ import annotations
@@ -36,47 +36,33 @@ def classification_f1(preds: Sequence[str], golds: Sequence[str]) -> tuple[float
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
     if not preds:
         raise ValueError("empty prediction list")
-    tp = sum(1 for p, g in zip(preds, golds) if p == TRAFFIC and g == TRAFFIC)
-    n_pred = sum(1 for p in preds if p == TRAFFIC)
-    n_gold = sum(1 for g in golds if g == TRAFFIC)
-    return _prf(tp, n_pred, n_gold)
+    report = score(preds, None, golds, None)
+    return report.precision_c, report.recall_c, report.f1c
 
 
-def _count_span_matches(
+def _span_score(
     pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
-) -> tuple[int, int, int]:
+) -> MetricReport:
     if len(pred_spans) != len(gold_spans):
         raise ValueError(
             f"length mismatch: {len(pred_spans)} predicted sentences vs {len(gold_spans)} gold"
         )
-    tp = n_pred = n_gold = 0
-    for preds, golds in zip(pred_spans, gold_spans):
-        pred_keys = Counter(s.key() for s in preds)
-        gold_keys = Counter(s.key() for s in golds)
-        tp += sum((pred_keys & gold_keys).values())
-        n_pred += sum(pred_keys.values())
-        n_gold += sum(gold_keys.values())
-    return tp, n_pred, n_gold
+    return score(None, pred_spans, None, gold_spans)
 
 
 def span_f1(
     pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
 ) -> tuple[float, float, float]:
     """Micro-averaged exact-match span precision/recall/F1 over sentences."""
-    return _prf(*_count_span_matches(pred_spans, gold_spans))
+    report = _span_score(pred_spans, gold_spans)
+    return report.precision_s, report.recall_s, report.f1s
 
 
 def span_f1_per_type(
     pred_spans: Sequence[Sequence[SlotSpan]], gold_spans: Sequence[Sequence[SlotSpan]]
 ) -> dict[str, dict[str, float]]:
     """Per-slot-type breakdown of the span scores."""
-    out = {}
-    for slot in SLOT_TYPES:
-        p = [[s for s in sent if s.slot_type == slot] for sent in pred_spans]
-        g = [[s for s in sent if s.slot_type == slot] for sent in gold_spans]
-        precision, recall, f1 = span_f1(p, g)
-        out[slot] = {"precision": precision, "recall": recall, "f1": f1}
-    return out
+    return _span_score(pred_spans, gold_spans).per_type
 
 
 def sentence_accuracy(
@@ -91,11 +77,7 @@ def sentence_accuracy(
         raise ValueError(f"parallel list lengths differ: {sorted(lengths)}")
     if not pred_classes:
         raise ValueError("empty evaluation set")
-    correct = 0
-    for pc, ps, gc, gs in zip(pred_classes, pred_spans, gold_classes, gold_spans):
-        if pc == gc and {s.key() for s in ps} == {s.key() for s in gs}:
-            correct += 1
-    return correct / len(pred_classes)
+    return score(pred_classes, pred_spans, gold_classes, gold_spans).sen_acc
 
 
 @dataclass
@@ -120,3 +102,53 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def score(
+    pred_classes: Sequence[str] | None,
+    pred_spans: Sequence[Sequence[SlotSpan]] | None,
+    gold_classes: Sequence[str] | None,
+    gold_spans: Sequence[Sequence[SlotSpan]] | None,
+) -> MetricReport:
+    """Every score the predictions support, from one pass over the parallel
+    lists: class scores when ``pred_classes`` is given, span scores when
+    ``pred_spans`` is, sentence accuracy when both are (on a non-empty set).
+    A list passed as None holds no traffic, or no span, in any sentence."""
+    n = len(gold_classes if gold_classes is not None else gold_spans)
+    no_classes, no_spans = (None,) * n, ((),) * n
+    class_tp = pred_traffic = gold_traffic = correct = 0
+    tp, n_pred, n_gold = Counter(), Counter(), Counter()  # per slot type
+    for pc, ps, gc, gs in zip(
+        no_classes if pred_classes is None else pred_classes,
+        no_spans if pred_spans is None else pred_spans,
+        no_classes if gold_classes is None else gold_classes,
+        no_spans if gold_spans is None else gold_spans,
+    ):
+        pred_traffic += pc == TRAFFIC
+        gold_traffic += gc == TRAFFIC
+        class_tp += pc == gc == TRAFFIC
+        pred, gold = Counter(map(SlotSpan.key, ps)), Counter(map(SlotSpan.key, gs))
+        for key, count in pred.items():
+            n_pred[key[0]] += count
+            tp[key[0]] += min(count, gold[key])
+        for key, count in gold.items():
+            n_gold[key[0]] += count
+        correct += pc == gc and pred.keys() == gold.keys()
+    report = MetricReport(
+        support={"sentences": n, "gold_traffic": gold_traffic, "gold_spans": n_gold.total()}
+    )
+    if pred_classes is not None:
+        report.precision_c, report.recall_c, report.f1c = _prf(class_tp, pred_traffic, gold_traffic)
+        report.support["pred_traffic"] = pred_traffic
+    if pred_spans is not None:
+        report.precision_s, report.recall_s, report.f1s = _prf(
+            tp.total(), n_pred.total(), n_gold.total()
+        )
+        report.per_type = {
+            t: dict(zip(("precision", "recall", "f1"), _prf(tp[t], n_pred[t], n_gold[t])))
+            for t in SLOT_TYPES
+        }
+        report.support["pred_spans"] = n_pred.total()
+        if pred_classes is not None:
+            report.sen_acc = correct / n
+    return report

@@ -45,6 +45,8 @@ class SubwordVocab:
                 initial.add(p)
         object.__setattr__(self, "_initial", initial)
         object.__setattr__(self, "_continuation", continuation)
+        # a longest-match scan never needs to look further than this
+        object.__setattr__(self, "_longest", max(map(len, initial | continuation), default=0))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -94,7 +96,7 @@ def tokenize(token: str, vocab: SubwordVocab) -> list[str]:
     pos = 0
     while pos < len(token):
         inventory = vocab._initial if pos == 0 else vocab._continuation
-        end = len(token)
+        end = min(len(token), pos + vocab._longest)
         while end > pos and token[pos:end] not in inventory:
             end -= 1
         if end == pos:

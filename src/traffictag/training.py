@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics
 from .autodiff import backward, mul_const
-from .corpus import TRAFFIC, Corpus, CorpusError, GeneratorConfig, Tweet, check_number
+from .corpus import Corpus, CorpusError, GeneratorConfig, Tweet, check_number
 from .models import (
     ARCHITECTURES,
     Model,
@@ -164,37 +164,12 @@ def evaluate(model: Model, corpus: Corpus) -> metrics.MetricReport:
     if len(corpus) == 0:
         raise CorpusError("cannot evaluate on an empty corpus")
     predictions = model.predict(corpus.tweets)
-    gold_classes = [t.class_label for t in corpus]
-    gold_spans = [t.spans for t in corpus]
-    report = metrics.MetricReport(
-        support={
-            "sentences": len(corpus),
-            "gold_traffic": sum(1 for c in gold_classes if c == TRAFFIC),
-            "gold_spans": sum(len(s) for s in gold_spans),
-        }
+    return metrics.score(
+        None if model.kind == "tagger" else [p.class_label for p in predictions],
+        None if model.kind == "classifier" else [p.spans for p in predictions],
+        [t.class_label for t in corpus],
+        [t.spans for t in corpus],
     )
-    kind = model.kind
-    if kind in ("classifier", "joint"):
-        pred_classes = [p.class_label for p in predictions]
-        report.precision_c, report.recall_c, report.f1c = metrics.classification_f1(
-            pred_classes, gold_classes
-        )
-        report.support["pred_traffic"] = sum(1 for c in pred_classes if c == TRAFFIC)
-    if kind in ("tagger", "joint"):
-        pred_spans = [p.spans for p in predictions]
-        report.precision_s, report.recall_s, report.f1s = metrics.span_f1(
-            pred_spans, gold_spans
-        )
-        report.per_type = metrics.span_f1_per_type(pred_spans, gold_spans)
-        report.support["pred_spans"] = sum(len(s) for s in pred_spans)
-    if kind == "joint":
-        report.sen_acc = metrics.sentence_accuracy(
-            [p.class_label for p in predictions],
-            [p.spans for p in predictions],
-            gold_classes,
-            gold_spans,
-        )
-    return report
 
 
 def criterion_value(report: metrics.MetricReport, kind: str) -> float:

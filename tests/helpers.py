@@ -1,22 +1,28 @@
 """Shared generators for randomized property tests, the finite-difference
 gradient checker and its random-cotangent reducer, the CRF's brute-force
 enumeration oracle, the per-sentence CRF op and the per-token LSTM loop that
-the batched ``crf.nll`` and ``lstm_seq`` are checked against, the metric
-report's schema oracle, and a checkpoint archive's payload reader and writer
-for damage tests."""
+the batched ``crf.nll`` and ``lstm_seq`` are checked against, the multi-pass
+metrics, BIO decoder, URL pattern and subword scan that the one-pass tally,
+the tag-table decoder, the anchored URL pattern and the bounded scan are
+checked against, the metric report's schema oracle, and a checkpoint
+archive's payload reader and writer for damage tests."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import random
-from typing import Callable, Iterable
+import re
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from traffictag.autodiff import Tensor, _accum, backward
-from traffictag.bio import TAGS
-from traffictag.corpus import SLOT_TYPES, SlotSpan
+from traffictag.bio import OUTSIDE, TAGS, split_tag
+from traffictag.corpus import SLOT_TYPES, TRAFFIC, Corpus, SlotSpan
+from traffictag.metrics import MetricReport, _prf
+from traffictag.subword import UNK, SubwordVocab
 from traffictag.crf import CrfModel
 from traffictag.models import METADATA_MEMBER
 
@@ -235,6 +241,119 @@ def lstm_seq_reference(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -
 
     out._backward = bw
     return out
+
+
+def classification_f1_reference(preds: Sequence[str], golds: Sequence[str]):
+    """Classification precision/recall/F1 as three passes."""
+    tp = sum(1 for p, g in zip(preds, golds) if p == TRAFFIC and g == TRAFFIC)
+    n_pred = sum(1 for p in preds if p == TRAFFIC)
+    n_gold = sum(1 for g in golds if g == TRAFFIC)
+    return _prf(tp, n_pred, n_gold)
+
+
+def span_f1_reference(pred_spans, gold_spans):
+    """Micro span precision/recall/F1: one Counter match per sentence."""
+    tp = n_pred = n_gold = 0
+    for preds, golds in zip(pred_spans, gold_spans):
+        pred_keys = Counter(s.key() for s in preds)
+        gold_keys = Counter(s.key() for s in golds)
+        tp += sum((pred_keys & gold_keys).values())
+        n_pred += sum(pred_keys.values())
+        n_gold += sum(gold_keys.values())
+    return _prf(tp, n_pred, n_gold)
+
+
+def span_f1_per_type_reference(pred_spans, gold_spans):
+    """Per-type span scores: each type filtered out and recounted."""
+    out = {}
+    for slot in SLOT_TYPES:
+        p = [[s for s in sent if s.slot_type == slot] for sent in pred_spans]
+        g = [[s for s in sent if s.slot_type == slot] for sent in gold_spans]
+        precision, recall, f1 = span_f1_reference(p, g)
+        out[slot] = {"precision": precision, "recall": recall, "f1": f1}
+    return out
+
+
+def sentence_accuracy_reference(pred_classes, pred_spans, gold_classes, gold_spans):
+    """Sentence accuracy with span sets compared as sets."""
+    correct = 0
+    for pc, ps, gc, gs in zip(pred_classes, pred_spans, gold_classes, gold_spans):
+        if pc == gc and {s.key() for s in ps} == {s.key() for s in gs}:
+            correct += 1
+    return correct / len(pred_classes)
+
+
+def evaluate_reference(model, corpus: Corpus) -> MetricReport:
+    """``training.evaluate`` composed from the multi-pass references."""
+    predictions = model.predict(corpus.tweets)
+    gold_classes = [t.class_label for t in corpus]
+    gold_spans = [t.spans for t in corpus]
+    report = MetricReport(
+        support={
+            "sentences": len(corpus),
+            "gold_traffic": sum(1 for c in gold_classes if c == TRAFFIC),
+            "gold_spans": sum(len(s) for s in gold_spans),
+        }
+    )
+    pred_classes = [p.class_label for p in predictions]
+    pred_spans = [p.spans for p in predictions]
+    if model.kind in ("classifier", "joint"):
+        report.precision_c, report.recall_c, report.f1c = classification_f1_reference(
+            pred_classes, gold_classes
+        )
+        report.support["pred_traffic"] = sum(1 for c in pred_classes if c == TRAFFIC)
+    if model.kind in ("tagger", "joint"):
+        report.precision_s, report.recall_s, report.f1s = span_f1_reference(pred_spans, gold_spans)
+        report.per_type = span_f1_per_type_reference(pred_spans, gold_spans)
+        report.support["pred_spans"] = sum(len(s) for s in pred_spans)
+    if model.kind == "joint":
+        report.sen_acc = sentence_accuracy_reference(
+            pred_classes, pred_spans, gold_classes, gold_spans
+        )
+    return report
+
+
+def decode_tags_reference(tags: Sequence[str]) -> list[SlotSpan]:
+    """BIO decoding that splits every tag with ``split_tag``."""
+    spans: list[SlotSpan] = []
+    open_type: str | None = None
+    open_start = 0
+
+    def close(end: int) -> None:
+        nonlocal open_type
+        if open_type is not None:
+            spans.append(SlotSpan(open_type, open_start, end))
+            open_type = None
+
+    for i, tag in enumerate(tags):
+        kind, slot = split_tag(tag)
+        if kind == OUTSIDE:
+            close(i)
+        elif kind == "B" or slot != open_type:
+            close(i)
+            open_type, open_start = slot, i
+    close(len(tags))
+    return spans
+
+
+# the URL pattern before anchoring: quadratic on a long letter run without "://"
+URL_RE_REFERENCE = re.compile(r"(?:[a-z][a-z0-9+.-]*://\S+|www\.\S+)", re.IGNORECASE)
+
+
+def tokenize_reference(token: str, vocab: SubwordVocab) -> list[str]:
+    """Greedy longest match whose every scan starts at the token's end."""
+    pieces: list[str] = []
+    pos = 0
+    while pos < len(token):
+        inventory = vocab._initial if pos == 0 else vocab._continuation
+        end = len(token)
+        while end > pos and token[pos:end] not in inventory:
+            end -= 1
+        if end == pos:
+            return [UNK]
+        pieces.append(token[pos:end] if pos == 0 else f"##{token[pos:end]}")
+        pos = end
+    return pieces
 
 
 # the report schema, pinned here rather than read back from MetricReport

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from helpers import random_span_set, random_tag_sequence
+from helpers import decode_tags_reference, random_span_set, random_tag_sequence
 from traffictag.bio import NUM_TAGS, TAGS, decode_tags, encode_spans, validate
 from traffictag.corpus import CorpusError, SlotSpan, check_spans
 
@@ -64,8 +65,14 @@ class TestDecode:
         ]
 
     def test_unknown_tag(self):
-        with pytest.raises(CorpusError):
-            decode_tags(["B-nonsense"])
+        for tags in (["B-nonsense"], ["B-where", "I-where", "I-nonsense"], ["O", ""], ["o"]):
+            with pytest.raises(CorpusError):
+                decode_tags(tags)
+
+    def test_equals_reference_on_every_short_sequence(self):
+        for n in range(5):
+            for tags in itertools.product(TAGS, repeat=n):
+                assert decode_tags(tags) == decode_tags_reference(tags), tags
 
 
 class TestValidate:

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from helpers import random_span_set, validate_report_dict
+from helpers import (
+    classification_f1_reference,
+    random_span_set,
+    sentence_accuracy_reference,
+    span_f1_per_type_reference,
+    span_f1_reference,
+    validate_report_dict,
+)
 from traffictag.corpus import NON_TRAFFIC, TRAFFIC, SlotSpan
 from traffictag.metrics import (
     MetricReport,
@@ -75,6 +82,8 @@ class TestSpanF1:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             span_f1([[]], [[], []])
+        with pytest.raises(ValueError):
+            span_f1_per_type([[]], [[], []])
 
 
 class TestSentenceAccuracy:
@@ -194,6 +203,55 @@ class TestBruteForceRecount:
                 for p, g in zip(pred_spans, gold_spans)
             ) / len(golds)
             assert sen <= min(class_acc, slot_acc) + 1e-12
+
+
+def _duplicated_pairs():
+    """Sentences whose predicted or gold lists repeat a span: a repeated
+    prediction matches at most as many gold copies as there are."""
+    a, b = SlotSpan("where", 0, 2), SlotSpan("when", 3, 4)
+    return [
+        ([T], [[a, a]], [T], [[a]]),
+        ([T], [[a]], [T], [[a, a]]),
+        ([T, N], [[a, a, b], []], [T, T], [[a, b, b], [b]]),
+        ([N, T], [[b, b], [a, a]], [N, T], [[b], [a, a]]),
+        ([T], [[a, b, a]], [N], [[b, a]]),
+    ]
+
+
+class TestTallyMatchesReference:
+    """The one-pass views against the multi-pass code they replaced: equal
+    to the last bit, including sentences with repeated spans."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(777)  # the pairs of TestBruteForceRecount
+        for _ in range(500):
+            preds, golds = _random_eval_pair(rng, rng.randint(1, 8))
+            yield ([c for c, _ in preds], [s for _, s in preds],
+                   [c for c, _ in golds], [s for _, s in golds])
+        yield from _duplicated_pairs()
+
+    def test_views_equal_references(self):
+        for pred_classes, pred_spans, gold_classes, gold_spans in self._cases():
+            assert classification_f1(pred_classes, gold_classes) == classification_f1_reference(
+                pred_classes, gold_classes
+            )
+            assert span_f1(pred_spans, gold_spans) == span_f1_reference(pred_spans, gold_spans)
+            assert span_f1_per_type(pred_spans, gold_spans) == span_f1_per_type_reference(
+                pred_spans, gold_spans
+            )
+            assert sentence_accuracy(
+                pred_classes, pred_spans, gold_classes, gold_spans
+            ) == sentence_accuracy_reference(pred_classes, pred_spans, gold_classes, gold_spans)
+
+    def test_duplicated_prediction_stays_false_positive(self):
+        a = SlotSpan("where", 0, 2)
+        assert span_f1([[a, a]], [[a]]) == (0.5, 1.0, 2.0 / 3.0)
+        assert span_f1_per_type([[a]], [[a, a]])["where"] == {
+            "precision": 1.0, "recall": 0.5, "f1": 2.0 / 3.0,
+        }
+        # span sets, not multisets, decide a sentence
+        assert sentence_accuracy([T], [[a, a]], [T], [[a]]) == 1.0
 
 
 class TestReportSchema:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from helpers import tokenize_reference
 from traffictag.corpus import Corpus, CorpusError, GeneratorConfig, Tweet, generate_synthetic
 from traffictag.subword import (
     CLS,
@@ -76,6 +79,43 @@ class TestTokenize:
     def test_empty_token_rejected(self):
         with pytest.raises(CorpusError):
             tokenize("", vocab_from_pieces("a", "##a"))
+
+    def test_equals_reference_scan(self):
+        corpus = generate_synthetic(GeneratorConfig(size=200), seed=3)
+        vocab = build_vocab(corpus, 400)
+        chars = sorted({ch for tweet in corpus for tok in tweet.tokens for ch in tok}) + ["é"]
+        rng = random.Random(3)
+        tokens = {tok for tweet in corpus for tok in tweet.tokens}
+        tokens |= {"".join(rng.choices(chars, k=rng.randint(1, 60))) for _ in range(3000)}
+        for token in sorted(tokens):
+            assert tokenize(token, vocab) == tokenize_reference(token, vocab), token
+
+    def test_piece_longer_than_build_vocab_makes(self):
+        # a loaded vocabulary may hold pieces past build_vocab's 12 characters
+        long_piece = "verkeersinformatie"
+        vocab = vocab_from_pieces(
+            long_piece, f"##{long_piece}", *long_piece, *(f"##{c}" for c in long_piece)
+        )
+        assert tokenize(long_piece * 2, vocab) == [long_piece, f"##{long_piece}"]
+
+    def test_lookups_bounded_by_longest_piece(self):
+        corpus = generate_synthetic(GeneratorConfig(size=100), seed=4)
+        vocab = build_vocab(corpus, 400)
+        longest = max(len(p.removeprefix("##")) for p in vocab.pieces[len(SPECIALS):])
+        lookups = 0
+
+        class CountingSet(set):
+            def __contains__(self, item):
+                nonlocal lookups
+                lookups += 1
+                return super().__contains__(item)
+
+        for name in ("_initial", "_continuation"):
+            object.__setattr__(vocab, name, CountingSet(getattr(vocab, name)))
+        chars = sorted({ch for tweet in corpus for tok in tweet.tokens for ch in tok})
+        token = "".join(random.Random(4).choices(chars, k=10_000))
+        assert UNK not in tokenize(token, vocab)
+        assert 0 < lookups <= len(token) * longest
 
 
 class TestAlign:

@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import NoArchiveForm, read_archive, validate_report_dict, write_archive
+from helpers import (
+    NoArchiveForm,
+    evaluate_reference,
+    read_archive,
+    validate_report_dict,
+    write_archive,
+)
 from traffictag import models, training
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
@@ -228,6 +234,21 @@ class TestTraining:
         assert rt.f1s is not None and rt.f1c is None and rt.sen_acc is None
         assert criterion_value(rc, "classifier") == rc.f1c
         assert criterion_value(rt, "tagger") == rt.f1s
+
+    @pytest.mark.parametrize("arch, optimizer, lr", [
+        ("cnn", "adam", 2e-3), ("lstm_tagger", "sgd", 0.4),
+        ("lstm_crf", "sgd", 0.4), ("joint", "adam", 5e-3),
+    ])
+    def test_evaluate_equals_multi_pass_reference(self, arch, optimizer, lr):
+        # trained far enough that scores, and joint sentence accuracy, lie inside (0, 1)
+        corpus = generate_synthetic(GeneratorConfig(size=400), seed=9)
+        train_c, dev_c, test_c = split_corpus(corpus, seed=9)
+        config = tiny_config(arch, epoch_candidates=(8,), optimizer=optimizer, learning_rate=lr)
+        model, _ = train_model(config, train_c, dev_c)
+        report, expected = evaluate(model, test_c), evaluate_reference(model, test_c)
+        assert report.to_json() == expected.to_json()
+        # the run log is dumped unsorted: the support keys keep their order too
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
 
 def _config(**fields):
