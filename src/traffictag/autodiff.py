@@ -83,10 +83,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def take_rows(x: Tensor, indices: Sequence[int] | int) -> Tensor:
-    """Gather rows of a tensor; duplicate indices accumulate correctly.
-
-    A single int index gives that one row."""
+def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
+    """Gather the rows of a tensor at an index array; duplicate indices
+    accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(x.data[idx], (x,))
 

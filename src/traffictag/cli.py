@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -65,14 +66,14 @@ def _build_parser() -> _Parser:
     train.add_argument("--corpus", default=None, help="override the config corpus path")
     train.set_defaults(func=cmd_train)
 
-    for verb, fn in (("eval", cmd_eval), ("transfer", cmd_transfer)):
+    for verb, transfer in (("eval", False), ("transfer", True)):
         ev = sub.add_parser(verb, help=f"{verb} a checkpoint on a corpus")
         ev.add_argument("--checkpoint", required=True)
         ev.add_argument("--corpus", required=True)
         ev.add_argument("--format", default=None, choices=("jsonl", "conll"))
         ev.add_argument("--out", default=None, help="write the JSON report here")
         ev.add_argument("--constrained-decode", action="store_true")
-        ev.set_defaults(func=fn)
+        ev.set_defaults(func=functools.partial(_run_eval, transfer=transfer))
 
     pred = sub.add_parser("predict", help="annotate raw tweets from a jsonl file")
     pred.add_argument("--checkpoint", required=True)
@@ -199,14 +200,6 @@ def _run_eval(args, transfer: bool) -> int:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
         print(f"report written to {args.out}")
     return 0
-
-
-def cmd_eval(args) -> int:
-    return _run_eval(args, transfer=False)
-
-
-def cmd_transfer(args) -> int:
-    return _run_eval(args, transfer=True)
 
 
 def cmd_predict(args) -> int:

@@ -1,16 +1,17 @@
-"""Linear-chain CRF: exact log-partition, batched NLL and batched Viterbi.
+"""Linear-chain CRF over a packed batch of sentences: NLL and Viterbi.
 
 A path through tags (y1..yn) scores
 
     start[y1] + sum_t emissions[t, yt] + sum_t transitions[y_t, y_{t+1}] + end[yn]
 
-The partition function sums exp(score) over all T^n paths. ``nll`` and
-``log_partition`` are one autodiff node each: the forward pass computes log Z
-exactly with the alpha recursion in log space, and the backward pass runs the
-beta recursion to get the forward-backward marginals. The gradient of the
-negative log-likelihood is the expected feature counts under those marginals
-minus the gold path's counts (Lafferty, McCallum & Pereira, ICML 2001;
-Sutton & McCallum, arXiv:1011.4088, section 4.1).
+The partition function sums exp(score) over all T^n paths. ``nll`` is one
+autodiff node per batch: the forward pass computes log Z exactly with the
+alpha recursion in log space, and the backward pass runs the beta recursion
+to get the forward-backward marginals. The gradient of the negative
+log-likelihood is the expected feature counts under those marginals minus
+the gold path's counts (Lafferty, McCallum & Pereira, ICML 2001; Sutton &
+McCallum, arXiv:1011.4088, section 4.1). Every entry point takes a batch;
+one sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ def _crf_op(emissions: Tensor, crf: CrfModel, lens: Sequence[int],
     return out_t
 
 
-def log_partition(emissions: Tensor, crf: CrfModel) -> Tensor:
-    """log sum over all tag paths of one sentence of exp(path score), differentiable."""
-    n, _ = _check_emissions(emissions, crf)
-    return _crf_op(emissions, crf, [n], None)
-
-
 def nll(emissions: Tensor, crf: CrfModel, paths: Sequence[Sequence[int]]) -> Tensor:
     """Summed negative log-likelihood of the gold paths of sentences whose
     emission rows lie back to back, longest first; non-negative by construction."""
@@ -150,25 +145,24 @@ BIO_START_MASK = np.array([NEG_INF if bio.validate((tag,)) else 0.0 for tag in b
 BIO_TRANSITION_MASK.flags.writeable = BIO_START_MASK.flags.writeable = False
 
 
-def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = None,
+def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int],
             constrained: bool = False) -> tuple[list[list[int]], list[float]]:
     """Highest-scoring tag path of each sentence in a batch, and its score.
 
     ``emissions`` holds the sentences' rows back to back, ``lengths[r]`` rows
-    for sentence r (default: one sentence), longest first, read in
-    ``layers._plan``'s time-major rows, so step i extends the k_i sentences
-    still running, a prefix of ``delta`` [B, tags]. Ties break toward the
-    lowest tag index at every backtracking step. With ``constrained`` set, transitions that would
+    for sentence r, longest first, read in ``layers._plan``'s time-major
+    rows, so step i extends the k_i sentences still running, a prefix of
+    ``delta`` [B, tags]. Ties break toward the lowest tag index at every
+    backtracking step. With ``constrained`` set, transitions that would
     produce an invalid BIO bigram (and I- tags at position 0) are masked out.
     """
     n, t = _check_emissions(emissions, crf)
-    lens = [n] if lengths is None else lengths
     trans, start = crf.transitions.data, crf.start.data
     if constrained:
         if t != bio.NUM_TAGS:
             raise ValueError(f"constrained decode needs the {bio.NUM_TAGS}-tag BIO inventory")
         trans, start = trans + BIO_TRANSITION_MASK, start + BIO_START_MASK
-    ks, offs, src, _, _ = _walk(lens, n)
+    ks, offs, src, _, _ = _walk(lengths, n)
     e = emissions.data[src]  # time-major rows, step 0 first
     batch = ks[0]
     delta = e[:batch] + start  # [sentence, tag]
@@ -184,7 +178,7 @@ def viterbi(emissions: Tensor, crf: CrfModel, lengths: Sequence[int] | None = No
     for r in range(batch):
         path = [int(delta[r].argmax())]
         best_scores.append(float(delta[r, path[0]]))
-        for i in range(lens[r] - 1, 0, -1):
+        for i in range(lengths[r] - 1, 0, -1):
             path.append(backptr[offs[i] + r][path[-1]])
         paths.append(path[::-1])
     return paths, best_scores

@@ -123,37 +123,30 @@ def softmax_probs(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: Tensor, gold: int | Sequence[int]) -> tuple[Tensor, Array]:
-    """Stabilized softmax cross-entropy over the last axis, summed.
-
-    ``logits`` is one logit vector with one gold index, or [n, classes] with
-    one gold index per row. Returns (scalar loss tensor, detached
-    probabilities shaped like ``logits``).
-    """
-    num_classes = logits.data.shape[-1]
-    z = logits.data.reshape(-1, num_classes)
+def softmax_xent(logits: Tensor, gold: Sequence[int]) -> Tensor:
+    """Stabilized softmax cross-entropy of [n, classes] logits, one gold
+    index per row, summed over the rows into a scalar loss tensor."""
+    z = logits.data
     gold_idx = np.asarray(gold, dtype=np.intp)
-    if gold_idx.shape != logits.data.shape[:-1]:
-        raise ValueError(f"expected gold indices of shape {logits.data.shape[:-1]}, "
-                         f"got {gold_idx.shape}")
-    gold_idx = gold_idx.reshape(-1)
-    if gold_idx.size and (gold_idx.min() < 0 or gold_idx.max() >= num_classes):
-        raise ValueError(f"gold index out of range [0, {num_classes})")
+    if z.ndim != 2 or gold_idx.shape != z.shape[:1]:
+        raise ValueError(f"expected [n, classes] logits and n gold indices, "
+                         f"got {z.shape} and {gold_idx.shape}")
+    if gold_idx.size and (gold_idx.min() < 0 or gold_idx.max() >= z.shape[1]):
+        raise ValueError(f"gold index out of range [0, {z.shape[1]})")
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     totals = e.sum(axis=1, keepdims=True)
-    probs = e / totals
     rows = np.arange(z.shape[0])
     losses = np.log(totals[:, 0]) + m[:, 0] - z[rows, gold_idx]
     loss = Tensor(losses.sum(), (logits,))
 
     def bw(g: Array) -> None:
-        delta = probs.copy()
+        delta = e / totals
         delta[rows, gold_idx] -= 1.0
-        _accum(logits, g * delta.reshape(logits.shape))
+        _accum(logits, g * delta)
 
     loss._backward = bw
-    return loss, probs.reshape(logits.shape)
+    return loss
 
 
 # room for every per-tweet length in both directions and a round of chunks;

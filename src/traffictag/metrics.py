@@ -149,6 +149,6 @@ def score(
             for t in SLOT_TYPES
         }
         report.support["pred_spans"] = n_pred.total()
-        if pred_classes is not None:
+        if pred_classes is not None and n:
             report.sen_acc = correct / n
     return report

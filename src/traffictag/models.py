@@ -303,16 +303,10 @@ class Model:
             tag_logits = affine(token_states, store[f"{self._tag}.w"], store[f"{self._tag}.b"])
         return class_logits, tag_logits, counts
 
-    def logits(
-        self, tokens: Sequence[str], train: bool = False, rng=None
-    ) -> tuple[Tensor | None, Tensor | None]:
-        """(class logits, per-token tag logits) of one tweet; None for no head."""
-        class_logits, tag_logits, _ = self.forward([self._ids(tokens)], train, rng)
-        return None if class_logits is None else take_rows(class_logits, 0), tag_logits
-
-    def emissions(self, tokens: Sequence[str], train: bool = False, rng=None) -> Tensor:
-        """Per-token tag logits, the CRF's emission scores."""
-        return self.logits(tokens, train, rng)[1]
+    def emissions(self, tokens: Sequence[str]) -> Tensor:
+        """One tweet's per-token tag logits, the CRF's emission scores: a
+        one-tweet view of ``forward`` that the benchmark's Viterbi check reads."""
+        return self.forward([self._ids(tokens)])[1]
 
     @property
     def crf(self) -> crf_mod.CrfModel:
@@ -328,13 +322,13 @@ class Model:
         class_logits, tag_logits, _ = self.forward([rows[i] for i in order], train, rng)
         terms = []
         if class_logits is not None:
-            terms.append(softmax_xent(class_logits, [_gold_class(t) for t in tweets])[0])
+            terms.append(softmax_xent(class_logits, [_gold_class(t) for t in tweets]))
         if tag_logits is not None:
             gold = [_gold_tag_ids(t) for t in tweets]
             if self.tag_head == "crf":
                 terms.append(crf_mod.nll(tag_logits, self.crf, gold))
             else:
-                terms.append(softmax_xent(tag_logits, [i for g in gold for i in g])[0])
+                terms.append(softmax_xent(tag_logits, [i for g in gold for i in g]))
         return terms[0] if len(terms) == 1 else add(*terms)
 
     def predict(self, tweets: Sequence[Tweet]) -> list[Prediction]:
@@ -373,7 +367,8 @@ class Model:
 
 
 def predict(model: Model, tweet: Tweet) -> Prediction:
-    """Run a trained model on one tweet.
+    """Run a trained model on one tweet: a batch of one through
+    ``Model.predict``, the call whose latency the benchmark times.
 
     Span predictions are kept even when the tweet is classified non_traffic,
     so the two subtasks stay independently evaluable; ``suppress_spans``

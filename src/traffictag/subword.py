@@ -1,11 +1,14 @@
-"""Greedy longest-match subword tokenizer and token/subtoken alignment.
+"""Greedy longest-match subword tokenizer and first-subtoken alignment.
 
 The vocabulary is learned from a corpus by frequency-ranking substrings:
 word-initial pieces are stored verbatim, continuation pieces carry a "##"
 marker, and every character ever seen is kept in both forms so that any
 token over known characters always decomposes. When a token splits into
 several pieces, downstream taggers predict only at its first piece; the
-alignment produced by :func:`align` records where those first pieces live.
+alignment that :func:`encode` returns with a tweet's piece ids records where
+those first pieces live. ``encode`` (one tweet) and ``tokenize`` (one token)
+are the whole tokenizing interface; the benchmark in ``bench/`` times the
+one and counts calls of the other.
 """
 
 from __future__ import annotations
@@ -106,25 +109,16 @@ def tokenize(token: str, vocab: SubwordVocab) -> list[str]:
     return pieces
 
 
-def align(tokens: Sequence[str], vocab: SubwordVocab) -> tuple[list[str], list[int]]:
-    """Flatten tokens to subtokens with [CLS]/[SEP] added.
-
-    Returns (subtokens, first_subtoken_index) where entry i points at the
-    first piece of token i; index 0 is always [CLS], so the alignment starts
-    at 1.
-    """
+def encode(tokens: Sequence[str], vocab: SubwordVocab) -> tuple[list[int], list[int]]:
+    """Piece ids of the tokens' subtokens between [CLS] and [SEP], and the
+    index of each token's first piece; index 0 is always [CLS], so the
+    alignment starts at 1."""
     if not tokens:
-        raise CorpusError("cannot align an empty token sequence")
-    subtokens = [CLS]
+        raise CorpusError("cannot encode an empty token sequence")
+    pieces = [CLS]
     first_index = []
     for token in tokens:
-        first_index.append(len(subtokens))
-        subtokens.extend(tokenize(token, vocab))
-    subtokens.append(SEP)
-    return subtokens, first_index
-
-
-def encode(tokens: Sequence[str], vocab: SubwordVocab) -> tuple[list[int], list[int]]:
-    """Subtoken piece ids plus the first-subtoken alignment."""
-    subtokens, first_index = align(tokens, vocab)
-    return [vocab.piece_id(p) for p in subtokens], first_index
+        first_index.append(len(pieces))
+        pieces += tokenize(token, vocab)
+    pieces.append(SEP)
+    return [vocab.piece_id(p) for p in pieces], first_index

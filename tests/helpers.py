@@ -1,6 +1,7 @@
 """Shared generators for randomized property tests, the finite-difference
 gradient checker and its random-cotangent reducer, the CRF's brute-force
-enumeration oracle, the per-sentence CRF op and the per-token LSTM loop that
+enumeration oracle, one sentence's log partition through the batched CRF
+op, the per-sentence CRF op and the per-token LSTM loop that
 the batched ``crf.nll`` and ``lstm_seq`` are checked against, the multi-pass
 metrics, BIO decoder, URL pattern and subword scan that the one-pass tally,
 the tag-table decoder, the anchored URL pattern and the bounded scan are
@@ -23,7 +24,7 @@ from traffictag.bio import OUTSIDE, TAGS, split_tag
 from traffictag.corpus import SLOT_TYPES, TRAFFIC, Corpus, SlotSpan
 from traffictag.metrics import MetricReport, _prf
 from traffictag.subword import UNK, SubwordVocab
-from traffictag.crf import CrfModel
+from traffictag.crf import CrfModel, _crf_op
 from traffictag.models import METADATA_MEMBER
 
 
@@ -128,6 +129,12 @@ def brute_force_oracle(
     m = arr.max()
     log_z = float(m + np.log(np.exp(arr - m).sum()))
     return log_z, best_path, float(best_score)
+
+
+def log_partition(emissions: Tensor, crf: CrfModel) -> Tensor:
+    """log sum over all tag paths of one sentence of exp(path score): the
+    batched CRF op on a batch of one, without gold paths."""
+    return _crf_op(emissions, crf, [emissions.data.shape[0]], None)
 
 
 def crf_reference(emissions: Tensor, crf: CrfModel, gold: Iterable[int] | None = None) -> Tensor:

@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_oracle, grad_check, random_span_set, random_tag_sequence
+from helpers import (
+    brute_force_oracle,
+    grad_check,
+    log_partition,
+    random_span_set,
+    random_tag_sequence,
+)
 from traffictag import bio, subword
 from traffictag.autodiff import Tensor
 from traffictag.cli import main
@@ -26,7 +32,7 @@ from traffictag.corpus import (
     generate_synthetic,
     split_corpus,
 )
-from traffictag.crf import CrfModel, log_partition, viterbi
+from traffictag.crf import CrfModel, viterbi
 from traffictag.metrics import classification_f1, sentence_accuracy, span_f1
 from traffictag.models import ModelConfig, WordVocab, build_model
 from traffictag.training import ExperimentConfig, train_and_test
@@ -81,7 +87,7 @@ def test_crf_oracle_equivalence():
         )
         oracle_log_z, oracle_path, oracle_score = brute_force_oracle(emissions, model)
         log_z = float(log_partition(emissions, model).data)
-        [path], [score] = viterbi(emissions, model)
+        [path], [score] = viterbi(emissions, model, [n])
         worst_gap = max(worst_gap, abs(log_z - oracle_log_z))
         assert abs(log_z - oracle_log_z) < 1e-10
         assert path == oracle_path and score == pytest.approx(oracle_score, abs=1e-12)
@@ -200,8 +206,8 @@ def test_enhanced_reduction_property():
     wide.store["slot.w"].data[d_tok:] = 0.0
     worst = 0.0
     for tweet in list(corpus)[:25]:
-        cls_a, slot_a = plain.logits(tweet.tokens)
-        cls_b, slot_b = wide.logits(tweet.tokens)
+        cls_a, slot_a, _ = plain.forward([plain._ids(tweet.tokens)])
+        cls_b, slot_b, _ = wide.forward([wide._ids(tweet.tokens)])
         worst = max(
             worst,
             float(np.abs(cls_a.data - cls_b.data).max()),

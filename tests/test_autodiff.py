@@ -37,43 +37,44 @@ from traffictag.optim import ParamStore, adam_step, clip_global_norm, sgd_step
 
 class TestSoftmaxXent:
     def test_uniform_two_way(self):
-        loss, probs = softmax_xent(Tensor([0.0, 0.0]), 0)
+        loss = softmax_xent(Tensor([[0.0, 0.0]]), [0])
         assert float(loss.data) == pytest.approx(math.log(2), abs=1e-12)
-        assert probs.tolist() == [0.5, 0.5]
+        assert softmax_probs(np.array([[0.0, 0.0]])).tolist() == [[0.5, 0.5]]
 
     def test_huge_logits_no_overflow(self):
-        loss, probs = softmax_xent(Tensor([1000.0, 0.0]), 0)
+        loss = softmax_xent(Tensor([[1000.0, 0.0]]), [0])
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.isfinite(probs))
+        assert np.all(np.isfinite(softmax_probs(np.array([[1000.0, 0.0]]))))
 
     def test_three_way_hand_value(self):
         # independent evaluation of -log softmax: log(e + e^2 + e^3) - 3
         expected = math.log(math.e + math.e**2 + math.e**3) - 3.0
-        loss, _ = softmax_xent(Tensor([1.0, 2.0, 3.0]), 2)
+        loss = softmax_xent(Tensor([[1.0, 2.0, 3.0]]), [2])
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
         assert float(loss.data) == pytest.approx(0.4076059644443806, abs=1e-12)
 
     def test_probs_on_simplex(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            z = rng.uniform(-50, 50, size=rng.integers(2, 9))
-            _, probs = softmax_xent(Tensor(z), 0)
+            z = rng.uniform(-50, 50, size=(rng.integers(1, 5), rng.integers(2, 9)))
+            probs = softmax_probs(z)
             assert np.all(probs >= 0)
-            assert abs(probs.sum() - 1.0) <= 1e-12
+            assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_gold_out_of_range(self):
-        with pytest.raises(ValueError):
-            softmax_xent(Tensor([0.0, 0.0]), 2)
-        with pytest.raises(ValueError, match="shape"):  # one gold index per row
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_xent(Tensor([[0.0, 0.0]]), [2])
+        with pytest.raises(ValueError, match="n gold indices"):  # one gold index per row
             softmax_xent(Tensor([[0.0, 0.0], [1.0, 0.0]]), [0])
+        with pytest.raises(ValueError, match=r"\[n, classes\]"):  # only [n, classes] logits
+            softmax_xent(Tensor([0.0, 0.0]), 0)
 
     def test_rows_sums_per_row(self):
         logits = Tensor([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        loss, probs = softmax_xent(logits, [2, 0])
-        a, _ = softmax_xent(Tensor([1.0, 2.0, 3.0]), 2)
-        b, _ = softmax_xent(Tensor([0.0, 0.0, 0.0]), 0)
+        loss = softmax_xent(logits, [2, 0])
+        a = softmax_xent(Tensor([[1.0, 2.0, 3.0]]), [2])
+        b = softmax_xent(Tensor([[0.0, 0.0, 0.0]]), [0])
         assert float(loss.data) == pytest.approx(float(a.data) + float(b.data), abs=1e-12)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestBackward:
@@ -135,7 +136,6 @@ class TestGradCheckPerOp:
     def test_take_rows_with_duplicates(self):
         x = self.t(5, 3)
         assert _gc(lambda: project(take_rows(x, [0, 2, 2, 4])), x) < 1e-6
-        assert _gc(lambda: project(take_rows(x, 3)), x) < 1e-6
 
     def test_affine_embedding(self):
         e = self.t(6, 4)
@@ -154,10 +154,8 @@ class TestGradCheckPerOp:
         assert _gc(lambda: project(conv_max_pool(x, [6, 4], w, b)), x, w, b) < 1e-4
 
     def test_softmax_xent_ops(self):
-        z = self.t(5)
-        assert _gc(lambda: softmax_xent(z, 2)[0], z) < 1e-6
         rows = self.t(4, 6)
-        assert _gc(lambda: softmax_xent(rows, [0, 5, 2, 2])[0], rows) < 1e-6
+        assert _gc(lambda: softmax_xent(rows, [0, 5, 2, 2]), rows) < 1e-6
 
     def test_lstm_both_directions(self):
         x = self.t(9, 3)  # rows of 5, 3 and 1 tokens
@@ -376,7 +374,7 @@ x = Tensor(rng.standard_normal((520, 160)))
 w, b = Tensor(rng.uniform(-0.1, 0.1, (288, 512))), Tensor(np.zeros(512))
 head_w, head_b = Tensor(rng.uniform(-0.1, 0.1, (128, 9))), Tensor(np.zeros(9))
 logits = affine(lstm_seq(x, [30] * 10 + [20] * 10 + [10] * 2, w, b), head_w, head_b)
-backward(softmax_xent(logits, rng.integers(0, 9, 520))[0])
+backward(softmax_xent(logits, rng.integers(0, 9, 520)))
 print(hashlib.sha256(w.grad.tobytes() + head_w.grad.tobytes()).hexdigest())
 """
 

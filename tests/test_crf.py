@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_oracle, crf_reference, grad_check
+from helpers import brute_force_oracle, crf_reference, grad_check, log_partition
 from traffictag import bio
 from traffictag.autodiff import Tensor, backward, take_rows
 from traffictag.crf import (
@@ -17,7 +17,6 @@ from traffictag.crf import (
     BIO_TRANSITION_MASK,
     NEG_INF,
     CrfModel,
-    log_partition,
     nll,
     viterbi,
 )
@@ -113,11 +112,11 @@ class TestLogPartition:
         rng = np.random.default_rng(3)
         emissions, model = random_instance(rng, 4, 3)
         base = float(log_partition(emissions, model).data)
-        [base_path], _ = viterbi(emissions, model)
+        [base_path], _ = viterbi(emissions, model, [4])
         shifted = emissions.data.copy()
         shifted[2] += 1.7
         after = float(log_partition(Tensor(shifted), model).data)
-        [after_path], _ = viterbi(Tensor(shifted), model)
+        [after_path], _ = viterbi(Tensor(shifted), model, [4])
         assert after == pytest.approx(base + 1.7, abs=1e-10)
         assert after_path == base_path
 
@@ -142,7 +141,7 @@ class TestNll:
             for b in range(2)
         }
         assert all(v >= 0 for v in losses.values())
-        [path], _ = viterbi(emissions, model)
+        [path], _ = viterbi(emissions, model, [2])
         assert losses[tuple(path)] == min(losses.values())
 
     def test_length_mismatch(self):
@@ -225,12 +224,12 @@ class TestBatchedNll:
 
 class TestViterbi:
     def test_emission_dominant(self):
-        [path], [score] = viterbi(Tensor([[1.0, 0.0], [0.0, 1.0]]), zero_model(2))
+        [path], [score] = viterbi(Tensor([[1.0, 0.0], [0.0, 1.0]]), zero_model(2), [2])
         assert path == [0, 1]
         assert score == pytest.approx(2.0)
 
     def test_tie_break_lowest_index(self):
-        [path], [score] = viterbi(Tensor(np.zeros((3, 2))), zero_model(2))
+        [path], [score] = viterbi(Tensor(np.zeros((3, 2))), zero_model(2), [3])
         assert path == [0, 0, 0]
         assert score == 0.0
 
@@ -239,7 +238,7 @@ class TestViterbi:
         model = zero_model(2)
         model.transitions.data[0, 1] = -5.0
         emissions = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        [path], [score] = viterbi(emissions, model)
+        [path], [score] = viterbi(emissions, model, [2])
         _, oracle_path, oracle_score = brute_force_oracle(emissions, model)
         assert path != [0, 1]
         assert path == oracle_path
@@ -247,7 +246,7 @@ class TestViterbi:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            viterbi(Tensor(np.zeros((0, 2))), zero_model(2))
+            viterbi(Tensor(np.zeros((0, 2))), zero_model(2), [0])
 
     def test_lengths_must_split_the_rows(self):
         for lengths in ([2, 2], [3, 0, 1], [], [1, 2]):  # [1, 2]: not longest first
@@ -278,7 +277,7 @@ class TestViterbi:
                     single, masked if constrained else model)
                 assert paths[i] == oracle_path
                 assert scores[i] == pytest.approx(oracle_score, abs=1e-12)
-                assert viterbi(single, model, constrained=constrained) == ([paths[i]],
+                assert viterbi(single, model, [n], constrained=constrained) == ([paths[i]],
                                                                            [scores[i]])
 
 
@@ -292,7 +291,7 @@ class TestOracleAgreement:
             emissions, model = random_instance(rng, n, t)
             oracle_log_z, oracle_path, oracle_score = brute_force_oracle(emissions, model)
             log_z = float(log_partition(emissions, model).data)
-            [path], [score] = viterbi(emissions, model)
+            [path], [score] = viterbi(emissions, model, [n])
             assert abs(log_z - oracle_log_z) < 1e-10
             assert path == oracle_path
             assert score == pytest.approx(oracle_score, abs=1e-12)
@@ -357,10 +356,10 @@ class TestConstrainedDecode:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             emissions = Tensor(rng.uniform(-3, 3, (n, bio.NUM_TAGS)))
-            [path], _ = viterbi(emissions, model, constrained=True)
+            [path], _ = viterbi(emissions, model, [n], constrained=True)
             tags = [bio.TAGS[i] for i in path]
             assert bio.validate(tags) == []
 
     def test_wrong_inventory_rejected(self):
         with pytest.raises(ValueError, match="9-tag BIO inventory"):
-            viterbi(Tensor(np.zeros((2, 5))), zero_model(5), constrained=True)
+            viterbi(Tensor(np.zeros((2, 5))), zero_model(5), [2], constrained=True)

@@ -19,6 +19,7 @@ from traffictag.corpus import NON_TRAFFIC, TRAFFIC, SlotSpan
 from traffictag.metrics import (
     MetricReport,
     classification_f1,
+    score,
     sentence_accuracy,
     span_f1,
     span_f1_per_type,
@@ -252,6 +253,15 @@ class TestTallyMatchesReference:
         }
         # span sets, not multisets, decide a sentence
         assert sentence_accuracy([T], [[a, a]], [T], [[a]]) == 1.0
+
+
+class TestScore:
+    def test_empty_set_has_no_sentence_accuracy(self):
+        report = score([], [], [], [])
+        assert report.sen_acc is None
+        assert (report.f1c, report.f1s) == (0.0, 0.0)
+        assert report.support == {"sentences": 0, "gold_traffic": 0, "gold_spans": 0,
+                                  "pred_traffic": 0, "pred_spans": 0}
 
 
 class TestReportSchema:

@@ -24,6 +24,7 @@ from traffictag.corpus import (
     generate_synthetic,
     normalize_tweet,
 )
+from traffictag.crf import viterbi
 from traffictag.layers import softmax_probs
 from traffictag.models import (
     ARCHITECTURES,
@@ -75,12 +76,17 @@ def zero_params(model):
     return model
 
 
+def logits(model, tokens):
+    """(class logits [1, classes], tag logits) of one tweet, a batch of one."""
+    return model.forward([model._ids(tokens)])[:2]
+
+
 def class_probs(model, tokens):
-    return softmax_probs(model.logits(tokens)[0].data)
+    return softmax_probs(logits(model, tokens)[0].data)[0]
 
 
 def tag_probs(model, tokens):
-    return softmax_probs(model.logits(tokens)[1].data)
+    return softmax_probs(logits(model, tokens)[1].data)
 
 
 # parameter names and shapes, in store order, at PIN with WORDS and PIECES:
@@ -325,6 +331,18 @@ class TestTaggers:
         pred = predict(model, unseen)
         assert len(pred.tags) == 2
 
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_emissions_are_forward_tag_logits(self, word_vocab, corpus, constrained):
+        """``Model.emissions`` is one tweet's ``forward`` tag logits, and
+        decoding them as a batch of one gives ``predict``'s tags."""
+        config = dataclasses.replace(SMALL, constrained_decode=constrained)
+        model = build_model("lstm_crf", config, seed=4, word_vocab=word_vocab)
+        for tweet in list(corpus)[:10]:
+            emissions = model.emissions(tweet.tokens)
+            assert np.array_equal(emissions.data, logits(model, tweet.tokens)[1].data)
+            [path], _ = viterbi(emissions, model.crf, [len(tweet.tokens)], constrained)
+            assert predict(model, tweet).tags == tuple(bio.TAGS[i] for i in path)
+
 
 class TestJoint:
     def test_simplex_outputs(self, word_vocab, sub_vocab, tweet):
@@ -361,8 +379,8 @@ class TestJoint:
         d_tok = 2 * SMALL.joint_hidden
         wide.store["slot.w"].data[:d_tok] = plain.store["slot.w"].data
         wide.store["slot.w"].data[d_tok:] = 0.0
-        cls_a, slot_a = plain.logits(tweet.tokens)
-        cls_b, slot_b = wide.logits(tweet.tokens)
+        cls_a, slot_a = logits(plain, tweet.tokens)
+        cls_b, slot_b = logits(wide, tweet.tokens)
         assert np.allclose(cls_a.data, cls_b.data, atol=1e-12, rtol=0)
         assert np.allclose(slot_a.data, slot_b.data, atol=1e-12, rtol=0)
 
@@ -385,9 +403,9 @@ class TestJoint:
         emb = model.store["enc.emb"]
 
         def run(which):
-            class_logits, slot_logits = model.logits(tweet.tokens)
-            class_l, _ = softmax_xent(class_logits, _gold_class(tweet))
-            slot_l, _ = softmax_xent(slot_logits, _gold_tag_ids(tweet))
+            class_logits, slot_logits = logits(model, tweet.tokens)
+            class_l = softmax_xent(class_logits, [_gold_class(tweet)])
+            slot_l = softmax_xent(slot_logits, _gold_tag_ids(tweet))
             model.store.zero_grad()
             if which == "class":
                 backward(class_l)

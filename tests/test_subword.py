@@ -14,7 +14,6 @@ from traffictag.subword import (
     SPECIALS,
     UNK,
     SubwordVocab,
-    align,
     build_vocab,
     encode,
     tokenize,
@@ -123,8 +122,8 @@ class TestAlign:
         vocab = vocab_from_pieces(
             "file", "op", "e40", *"filope40", *(f"##{c}" for c in "filope40")
         )
-        subtokens, first = align(["file", "op", "e40"], vocab)
-        assert subtokens == [CLS, "file", "op", "e40", SEP]
+        ids, first = encode(["file", "op", "e40"], vocab)
+        assert [vocab.pieces[i] for i in ids] == [CLS, "file", "op", "e40", SEP]
         assert first == [1, 2, 3]
 
     def test_split_token_alignment(self):
@@ -132,22 +131,22 @@ class TestAlign:
             "traf", "##fic", "jam",
             *"traficjam", *(f"##{c}" for c in "traficjam"),
         )
-        subtokens, first = align(["traffic", "jam"], vocab)
-        assert subtokens == [CLS, "traf", "##fic", "jam", SEP]
+        ids, first = encode(["traffic", "jam"], vocab)
+        assert [vocab.pieces[i] for i in ids] == [CLS, "traf", "##fic", "jam", SEP]
         assert first == [1, 3]
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(CorpusError):
-            align([], vocab_from_pieces("a", "##a"))
+            encode([], vocab_from_pieces("a", "##a"))
 
     def test_alignment_properties_on_corpus(self):
         corpus = generate_synthetic(GeneratorConfig(size=80), seed=6)
         vocab = build_vocab(corpus, 250)
         for tweet in corpus:
-            subtokens, first = align(tweet.tokens, vocab)
+            ids, first = encode(tweet.tokens, vocab)
             assert len(first) == len(tweet.tokens)
             assert all(a < b for a, b in zip(first, first[1:]))
-            assert 1 <= first[0] and first[-1] < len(subtokens) - 1
+            assert 1 <= first[0] and first[-1] < len(ids) - 1
 
     def test_detokenization_property(self):
         corpus = generate_synthetic(GeneratorConfig(size=80), seed=8)
