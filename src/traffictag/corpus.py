@@ -25,6 +25,7 @@ import json
 import random
 import re
 import unicodedata
+from bisect import bisect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -146,6 +147,24 @@ class Corpus:
 _URL_RE = re.compile(r"(?<![a-z0-9+.-])([0-9+.-]*)[a-z][a-z0-9+.-]*://\S+|www\.\S+", re.IGNORECASE)
 
 
+class _PunctTable(dict):
+    """``str.translate`` table: a punctuation code point (category P*) maps to
+    " ch ", any other to itself. It keeps at most ``MAX`` code points, under
+    0.7 MB, as they are first seen; later ones are classified on each use."""
+
+    MAX = 4096
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        out = f" {ch} " if unicodedata.category(ch).startswith("P") else ch
+        if len(self) < self.MAX:
+            self[code] = out
+        return out
+
+
+_PUNCT_TABLE = _PunctTable()
+
+
 def normalize_tweet(raw_text: str) -> list[str]:
     """Normalize raw tweet text into tokens.
 
@@ -153,14 +172,7 @@ def normalize_tweet(raw_text: str) -> list[str]:
     whitespace, and every punctuation character becomes its own token.
     Raises DegenerateTweetError when nothing survives.
     """
-    text = _URL_RE.sub(r"\1 ", raw_text).lower()
-    parts: list[str] = []
-    for ch in text:
-        if unicodedata.category(ch).startswith("P"):
-            parts.append(f" {ch} ")
-        else:
-            parts.append(ch)
-    tokens = "".join(parts).split()
+    tokens = _URL_RE.sub(r"\1 ", raw_text).lower().translate(_PUNCT_TABLE).split()
     if not tokens:
         raise DegenerateTweetError(f"nothing left after normalization: {raw_text!r}")
     return tokens
@@ -175,18 +187,11 @@ def split_corpus(corpus: Corpus, seed: int) -> tuple[Corpus, Corpus, Corpus]:
     if n < 5:
         raise CorpusError(f"corpus too small to split: {n} < 5")
     order = list(range(n))
-    random.Random(seed).shuffle(order)
+    _Draws(seed).shuffle(order)
     k = n // 5
     parts = (order[: n - 2 * k], order[n - 2 * k : n - k], order[n - k :])
-    names = ("train", "dev", "test")
-    return tuple(
-        Corpus(
-            name=f"{corpus.name}/{label}",
-            tweets=tuple(corpus.tweets[i] for i in idx),
-            provenance=corpus.provenance,
-        )
-        for label, idx in zip(names, parts)
-    )
+    return tuple(Corpus(f"{corpus.name}/{label}", tuple(corpus.tweets[i] for i in idx),
+                        corpus.provenance) for label, idx in zip(("train", "dev", "test"), parts))
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +327,64 @@ def build_slot_pools(config: GeneratorConfig) -> dict[str, tuple[str, ...]]:
     return pools
 
 
-def _traffic_sentence(rng: random.Random, pools: dict[str, tuple[str, ...]]):
-    present = [slot for slot in SLOT_TYPES if rng.random() < _SLOT_RATES[slot]]
-    if not present:
-        present = ["what"]
-    rng.shuffle(present)
-    tokens: list[str] = []
-    for _ in range(rng.randint(0, 2)):
-        tokens.append(rng.choice(_FILLER))
+class _Draws:
+    """CPython 3.10-3.12's ``random.Random`` samplers (``choice``, ``randint``,
+    ``sample``, ``shuffle``, ``choices``), drawing only through one
+    ``random.Random(seed)``'s ``getrandbits`` and ``random``. Python may change
+    its samplers between versions but keeps those two streams, so a generated
+    or split corpus depends on the seed alone."""
+
+    def __init__(self, seed: int):
+        rng = random.Random(seed)
+        self.bits, self.random = rng.getrandbits, rng.random
+
+    def below(self, n: int) -> int:
+        """``randrange(n)``: n.bit_length() bits, redrawn while they are >= n."""
+        k = n.bit_length()
+        r = self.bits(k)
+        while r >= n:
+            r = self.bits(k)
+        return r
+
+    def choice(self, seq: Sequence):
+        return seq[self.below(len(seq))]
+
+    def shuffle(self, x: list) -> None:
+        for i in range(len(x) - 1, 0, -1):
+            j = self.below(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+    def sample(self, pair: Sequence, k: int) -> list:
+        """``sample(pair, k)`` of a 2-sequence, k in (1, 2)."""
+        j = self.below(2)
+        if k == 2:
+            self.below(1)  # the second pick, from a pool of one
+        return [pair[j], pair[1 - j]][:k]
+
+    def span_length(self) -> int:  # choices((1, 2, 3), weights=(5, 3, 2))[0]
+        return (1, 2, 3)[bisect((5, 8, 10), self.random() * 10.0, 0, 2)]
+
+
+def _traffic_sentence(draw: _Draws, pools: dict[str, tuple[str, ...]]):
+    present = [slot for slot in SLOT_TYPES if draw.random() < _SLOT_RATES[slot]] or ["what"]
+    draw.shuffle(present)
+    tokens = [draw.choice(_FILLER) for _ in range(draw.below(3))]
     spans: list[SlotSpan] = []
     for slot in present:
-        length = rng.choices((1, 2, 3), weights=(5, 3, 2))[0]
-        words = [rng.choice(pools[slot])]
+        length = draw.span_length()
+        words = [draw.choice(pools[slot])]
         if length > 1:
-            words.extend(rng.sample(_SPAN_TAILS[slot], length - 1))
+            words.extend(draw.sample(_SPAN_TAILS[slot], length - 1))
         spans.append(SlotSpan(slot, len(tokens), len(tokens) + len(words)))
         tokens.extend(words)
-        for _ in range(rng.randint(0, 2)):
-            tokens.append(rng.choice(_FILLER))
+        for _ in range(draw.below(3)):
+            tokens.append(draw.choice(_FILLER))
     return tokens, tuple(spans)
 
 
-def _non_traffic_sentence(rng: random.Random) -> list[str]:
-    return [
-        rng.choice(_FILLER) if rng.random() < 0.3 else rng.choice(_GENERAL)
-        for _ in range(rng.randint(4, 12))
-    ]
+def _non_traffic_sentence(draw: _Draws) -> list[str]:
+    return [draw.choice(_FILLER) if draw.random() < 0.3 else draw.choice(_GENERAL)
+            for _ in range(4 + draw.below(9))]
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
@@ -357,27 +394,19 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
     seed-shuffled order. Identical (config, seed) pairs yield byte-identical
     corpora.
     """
-    rng = random.Random(seed)
+    draw = _Draws(seed)
     pools = build_slot_pools(config)
     n_traffic = round(config.size * config.traffic_fraction)
     labels = [TRAFFIC] * n_traffic + [NON_TRAFFIC] * (config.size - n_traffic)
-    rng.shuffle(labels)
+    draw.shuffle(labels)
     prefix = config.region.lower()
     tweets = []
     for i, label in enumerate(labels):
         if label == TRAFFIC:
-            tokens, spans = _traffic_sentence(rng, pools)
+            tokens, spans = _traffic_sentence(draw, pools)
         else:
-            tokens, spans = _non_traffic_sentence(rng), ()
-        tweets.append(
-            Tweet(
-                id=f"{prefix}-{i:05d}",
-                raw_text=" ".join(tokens),
-                tokens=tuple(tokens),
-                class_label=label,
-                spans=spans,
-            )
-        )
+            tokens, spans = _non_traffic_sentence(draw), ()
+        tweets.append(Tweet(f"{prefix}-{i:05d}", " ".join(tokens), tuple(tokens), label, spans))
     name = config.name or f"synthetic-{prefix}"
     return Corpus(name=name, tweets=tuple(tweets), provenance="synthetic")
 

@@ -23,6 +23,7 @@ class ParamStore:
             self.params[name] = Tensor(np.zeros(shape))
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
+        self.adam_scratch = np.empty((2, 0))
         self.adam_t = 0
 
     def initialize(self, rng: np.random.Generator) -> None:
@@ -95,17 +96,23 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(store: ParamStore, lr: float) -> None:
-    """Adam with bias correction; missing gradients count as zero."""
+    """Adam with bias correction; missing gradients count as zero. The moments
+    are updated in place, through two scratch rows of the largest size."""
+    if not store.adam_t:
+        for name, p in store.params.items():
+            store.adam_m[name], store.adam_v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        store.adam_scratch = np.empty((2, max(p.data.size for p in store.params.values())))
     store.adam_t += 1
     t = store.adam_t
     for name, p in store.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = store.adam_m.setdefault(name, np.zeros_like(p.data))
-        v = store.adam_v.setdefault(name, np.zeros_like(p.data))
+        m, v = store.adam_m[name], store.adam_v[name]
+        a, b = (row[: p.data.size].reshape(p.data.shape) for row in store.adam_scratch)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
+        denom = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=a), out=a)
+        denom += ADAM_EPS
+        step = np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1**t, out=b), out=b)
+        p.data -= np.divide(step, denom, out=b)

@@ -215,7 +215,8 @@ def train_model(
     best_value = -1.0
     best_epoch: int | None = None
     best_snapshot = None
-    for epoch in range(1, max(config.epoch_candidates) + 1):
+    last = config.epoch_candidates[-1]  # the candidates are sorted
+    for epoch in range(1, last + 1):
         order = np.random.default_rng([config.seed, 11, epoch]).permutation(len(tweets))
         loss_sum = 0.0
         grad_norm_max = 0.0
@@ -251,10 +252,12 @@ def train_model(
             if value > best_value:
                 best_value = value
                 best_epoch = epoch
-                best_snapshot = model.store.snapshot()
+                # none at the last epoch, whose parameters the model ends with
+                best_snapshot = model.store.snapshot() if epoch < last else None
         log.epochs.append(entry)
 
-    model.store.restore(best_snapshot)
+    if best_snapshot is not None:
+        model.store.restore(best_snapshot)
     log.selected_epoch = best_epoch
     log.wall_clock_s = time.perf_counter() - started
     return model, log

@@ -3,9 +3,10 @@ gradient checker and its random-cotangent reducer, the CRF's brute-force
 enumeration oracle, one sentence's log partition through the batched CRF
 op, the per-sentence CRF op and the per-token LSTM loop that
 the batched ``crf.nll`` and ``lstm_seq`` are checked against, the multi-pass
-metrics, BIO decoder, URL pattern and subword scan that the one-pass tally,
-the tag-table decoder, the anchored URL pattern and the bounded scan are
-checked against, the metric report's schema oracle, and a checkpoint
+metrics, BIO decoder, URL pattern, punctuation loop, subword scan and Adam
+step that the one-pass tally, the tag-table decoder, the anchored URL
+pattern, the translate table, the bounded scan and the in-place Adam step
+are checked against, the metric report's schema oracle, and a checkpoint
 archive's payload reader and writer for damage tests."""
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import random
 import re
+import unicodedata
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -21,8 +23,9 @@ import numpy as np
 
 from traffictag.autodiff import Tensor, _accum, backward
 from traffictag.bio import OUTSIDE, TAGS, split_tag
-from traffictag.corpus import SLOT_TYPES, TRAFFIC, Corpus, SlotSpan
+from traffictag.corpus import _URL_RE, SLOT_TYPES, TRAFFIC, Corpus, SlotSpan
 from traffictag.metrics import MetricReport, _prf
+from traffictag.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore
 from traffictag.subword import UNK, SubwordVocab
 from traffictag.crf import CrfModel, _crf_op
 from traffictag.models import METADATA_MEMBER
@@ -361,6 +364,33 @@ def tokenize_reference(token: str, vocab: SubwordVocab) -> list[str]:
         pieces.append(token[pos:end] if pos == 0 else f"##{token[pos:end]}")
         pos = end
     return pieces
+
+
+def normalize_tweet_reference(raw_text: str) -> list[str]:
+    """``normalize_tweet``'s tokens by a per-character category loop; [] where
+    it raises DegenerateTweetError."""
+    parts = []
+    for ch in _URL_RE.sub(r"\1 ", raw_text).lower():
+        parts.append(f" {ch} " if unicodedata.category(ch).startswith("P") else ch)
+    return "".join(parts).split()
+
+
+def adam_step_reference(store: ParamStore, lr: float) -> None:
+    """Adam with bias correction through fresh temporaries, keeping its moments
+    in ``store.adam_m`` and ``store.adam_v``; missing gradients count as zero."""
+    store.adam_t += 1
+    t = store.adam_t
+    for name, p in store.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = store.adam_m.setdefault(name, np.zeros_like(p.data))
+        v = store.adam_v.setdefault(name, np.zeros_like(p.data))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # the report schema, pinned here rather than read back from MetricReport

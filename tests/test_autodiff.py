@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import traffictag
-from helpers import cotangent, grad_check, lstm_seq_reference, project
+from helpers import adam_step_reference, cotangent, grad_check, lstm_seq_reference, project
 from traffictag.autodiff import (
     Tensor,
     add,
@@ -466,6 +466,32 @@ class TestOptimizers:
             p.grad = np.array([scale])
             adam_step(store, lr=0.01)
             assert abs(p.data[0]) == pytest.approx(0.01, rel=1e-3)
+
+    def test_adam_in_place_equals_reference_bit_for_bit(self):
+        # five steps, one parameter's gradient None (zero) at every step
+        layout = [("w", (7, 5), "uniform"), ("e", (11, 3), "embedding"), ("b", (9,), "zeros")]
+        stores = [ParamStore(layout), ParamStore(layout)]
+        for store in stores:
+            store.initialize(np.random.default_rng(4))
+        moments = None
+        for step in range(5):
+            rng = np.random.default_rng(step)
+            grads = {"w": rng.standard_normal((7, 5)) * 10.0 ** (step - 2), "e": None,
+                     "b": rng.standard_normal(9)}
+            for store in stores:
+                for name, g in grads.items():
+                    store[name].grad = None if g is None else g.copy()
+            adam_step(stores[0], lr=0.01)
+            adam_step_reference(stores[1], lr=0.01)
+            ours, ref = stores
+            for name in grads:
+                for a, b in ((ours[name].data, ref[name].data), (ours.adam_m[name], ref.adam_m[name]),
+                             (ours.adam_v[name], ref.adam_v[name])):
+                    assert a.tobytes() == b.tobytes(), (step, name)
+            # the moments are made at the first step and updated in place after it
+            now = [id(ours.adam_m[n]) for n in grads] + [id(ours.adam_v[n]) for n in grads]
+            assert moments in (None, now)
+            moments = now
 
     def test_zero_gradient_leaves_params_unchanged(self):
         store = _uniform_store((3,), seed=0)

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
 import time
 
 import pytest
 
-from helpers import URL_RE_REFERENCE
+from helpers import URL_RE_REFERENCE, normalize_tweet_reference
+from traffictag import corpus as corpus_module
 from traffictag import bio
 from traffictag.cli import main
 from traffictag.corpus import (
     _URL_RE,
+    _Draws,
+    _PunctTable,
     NON_TRAFFIC,
     SLOT_TYPES,
     TRAFFIC,
@@ -57,6 +62,46 @@ def _record(**changes):
     return record
 
 
+# every value of each generator axis: region, traffic fraction, (pool size,
+# overlap) and seed; size 500 takes the three diagonal (pool, overlap) pairs
+_REGIONS, _FRACTIONS, _SEEDS = ("BRU", "BE"), (0, 0.5, 1), (0, 1, 2**40 + 3)
+_POOLS = tuple(itertools.product((1, 3, 20), (0, 0.7, 1)))
+
+
+def _grid(size):
+    pools = _POOLS if size < 500 else _POOLS[::4]
+    for region, fraction, (pool, overlap), seed in itertools.product(
+            _REGIONS, _FRACTIONS, pools, _SEEDS):
+        yield GeneratorConfig(size=size, traffic_fraction=fraction, region=region,
+                              shared_vocab_fraction=overlap, pool_size=pool), seed
+
+
+def _save_digests(corpora, tmp_path):
+    """sha256 of the saved bytes of ``corpora`` in order, per format."""
+    digests = {}
+    for fmt in ("jsonl", "conll"):
+        h = hashlib.sha256()
+        for corpus in corpora:
+            save_corpus(corpus, tmp_path / f"c.{fmt}")
+            h.update((tmp_path / f"c.{fmt}").read_bytes())
+        digests[fmt] = h.hexdigest()
+    return digests
+
+
+_PINNED_GRID = {
+    1: {"jsonl": "28c17f017549726d63594e33e97e17cddd27be72e6c566e174a0ef27d4961c6b",
+        "conll": "a66f9cde5ea6c32ac686ed5f1a74e201796c3ffffb4fb002e504acdc8e1f4b58"},
+    7: {"jsonl": "31c20a39926ff6a2f81e35f49fd954d715156ca1f1969c4aab54f7032869bb97",
+        "conll": "23c0552d3ef8f3d01761f2d53b0d8eeb0bd27594ede97423989cec1f03d88ad8"},
+    60: {"jsonl": "87b28b33c7c498e2c22f8333988fe77c13536e3c718c2d83a6674aa4c6917548",
+         "conll": "9eb91b944cd5ee82782cee2fd9b63e18c9fb5bb57d0e9bf59923b92c992dd96a"},
+    500: {"jsonl": "a89d2d6fd070de7df12755c4d2c237983e528e20c151246f0839939f3302f022",
+          "conll": "969aa4f65a2c5f3fdb7a46d8bcb46b2f36c03733674c4da967f6c9dd909cc22e"},
+}
+_PINNED_SPLIT = {"jsonl": "aeb88ecdfdd5ef471207a461021d0b276a13c405beba425aef5866f715dd40a7",
+                 "conll": "5ced6231298c7cb8a1311c04ebfcbab60e76ccbf4a905459224be37308866c11"}
+
+
 class TestNormalize:
     def test_url_removed(self):
         assert normalize_tweet("File op E40 https://t.co/x") == ["file", "op", "e40"]
@@ -84,6 +129,27 @@ class TestNormalize:
         for _ in range(20000):
             text = "".join(rng.choices(atoms, k=rng.randint(1, 24)))
             assert _URL_RE.sub(r"\1 ", text) == URL_RE_REFERENCE.sub(" ", text), text
+
+    def test_translate_table_equals_reference_on_random_strings(self):
+        rng = random.Random(21)
+        alphabet = [*map(chr, range(128)), *map(chr, range(0xA0, 0x100)),
+                    *map(chr, range(0x2000, 0x2070)), "İ", "ß", "ﬁ", "\t", "\n", "https://t.co/"]
+        for _ in range(20000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(1, 24)))
+            try:
+                tokens = normalize_tweet(text)
+            except DegenerateTweetError:
+                tokens = []
+            assert tokens == normalize_tweet_reference(text), repr(text)
+
+    def test_translate_table_is_bounded(self, monkeypatch):
+        # past the bound, code points are classified on each use, not stored
+        table = _PunctTable()
+        monkeypatch.setattr(corpus_module, "_PUNCT_TABLE", table)
+        text = "".join(map(chr, range(0x3000, 0x3000 + 2 * _PunctTable.MAX)))
+        for _ in range(2):
+            assert normalize_tweet(text) == normalize_tweet_reference(text)
+        assert len(table) == _PunctTable.MAX
 
     def test_long_letter_run_is_linear(self):
         # the unanchored pattern took 1.5 s on 16,000 letters and grows as
@@ -191,6 +257,43 @@ class TestGenerator:
         save_corpus(a, pa)
         save_corpus(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_grid_bytes_pinned(self, tmp_path):
+        # jsonl and conll bytes of every corpus in a grid, hashed per size, as
+        # the generator wrote them through random.Random's own samplers
+        for size, digests in _PINNED_GRID.items():
+            corpora = [generate_synthetic(config, seed) for config, seed in _grid(size)]
+            assert _save_digests(corpora, tmp_path) == digests, size
+        corpus = generate_synthetic(GeneratorConfig(size=500, region="BE"), 2**40 + 3)
+        assert _save_digests(split_corpus(corpus, 7), tmp_path) == _PINNED_SPLIT
+
+    def test_draws_match_random_random(self):
+        # one interleaved script per seed, each op on a random.Random and on
+        # the draw helper: the same values, and the same next random()
+        lengths = list(range(1, 71))
+        for seed in range(200):
+            script, ref, draw = random.Random(-seed), random.Random(seed), _Draws(seed)
+            for _ in range(60):
+                op = script.randrange(6)
+                if op == 0:
+                    seq = tuple(range(script.choice(lengths)))
+                    assert ref.choice(seq) == draw.choice(seq)
+                elif op == 1:
+                    assert ref.randint(0, 2) == draw.below(3)
+                elif op == 2:
+                    assert ref.randint(4, 12) == 4 + draw.below(9)
+                elif op == 3:
+                    k = script.randint(1, 2)
+                    assert ref.sample(("a", "b"), k) == draw.sample(("a", "b"), k)
+                elif op == 4:
+                    x = list(range(script.randint(0, 6)))
+                    y = list(x)
+                    ref.shuffle(x)
+                    draw.shuffle(y)
+                    assert x == y
+                else:
+                    assert ref.choices((1, 2, 3), weights=(5, 3, 2))[0] == draw.span_length()
+            assert ref.random() == draw.random(), seed
 
     def test_invariants_hold(self):
         corpus = generate_synthetic(GeneratorConfig(size=300), seed=5)

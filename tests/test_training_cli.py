@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from traffictag.corpus import (
     split_corpus,
 )
 from traffictag.models import METADATA_MEMBER, ModelConfig
+from traffictag.optim import ParamStore
 from traffictag.training import (
     EPOCH_CANDIDATES,
     ExperimentConfig,
@@ -139,6 +141,35 @@ class TestTraining:
         assert rep_a == rep_b
         for name in model_a.store.params:
             assert np.array_equal(model_a.store[name].data, model_b.store[name].data)
+
+    @staticmethod
+    def _spy_store(monkeypatch):
+        """The names of ParamStore's snapshot and restore calls, in order."""
+        calls = []
+        for name in ("snapshot", "restore"):
+            method = getattr(ParamStore, name)
+            monkeypatch.setattr(ParamStore, name, lambda self, *a, _m=method, _n=name:
+                                calls.append(_n) or _m(self, *a))
+        return calls
+
+    def test_last_candidate_epoch_takes_no_snapshot(self, splits, monkeypatch):
+        train_c, dev_c, _ = splits
+        calls = self._spy_store(monkeypatch)
+        _, log = train_model(tiny_config("lstm_tagger", epoch_candidates=(1,)), train_c, dev_c)
+        assert log.selected_epoch == 1 and calls == []
+
+    def test_earlier_best_epoch_is_restored(self, splits, monkeypatch):
+        train_c, dev_c, _ = splits
+        first, _ = train_model(tiny_config("lstm_tagger", epoch_candidates=(1,)), train_c, dev_c)
+        # epoch 1 scores best, so the epoch-1 parameters come back after epoch 2
+        values = iter([0.9, 0.5])
+        monkeypatch.setattr(training, "criterion_value", lambda report, kind: next(values))
+        calls = self._spy_store(monkeypatch)
+        model, log = train_model(tiny_config("lstm_tagger", epoch_candidates=(1, 2)),
+                                 train_c, dev_c)
+        assert log.selected_epoch == 1 and calls == ["snapshot", "restore"]
+        for name, p in first.store.params.items():
+            assert p.data.tobytes() == model.store[name].data.tobytes()
 
     def test_empty_training_corpus_rejected(self, splits):
         _, dev_c, _ = splits
@@ -294,6 +325,14 @@ class TestCli:
         first = (out / "demo.jsonl").read_bytes()
         assert main(args) == 0
         assert (out / "demo.jsonl").read_bytes() == first
+
+    def test_generate_matches_checked_in_digests(self, tmp_path):
+        # the corpus whose digests CI checks with sha256sum on each Python version
+        args = ["generate", "--size", "60", "--seed", "2", "--out", str(tmp_path), "--name", "tiny"]
+        assert main(args) == 0
+        for line in (Path(__file__).parent / "data" / "tiny_corpus.sha256").read_text().splitlines():
+            digest, name = line.split()
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_generate_size_zero_is_error(self, tmp_path):
         assert main(["generate", "--size", "0", "--seed", "1", "--out", str(tmp_path)]) == 2
