@@ -5,13 +5,18 @@ A path through tags (y1..yn) scores
     start[y1] + sum_t emissions[t, yt] + sum_t transitions[y_t, y_{t+1}] + end[yn]
 
 The partition function sums exp(score) over all T^n paths. ``nll`` is one
-autodiff node per batch: the forward pass computes log Z exactly with the
-alpha recursion in log space, and the backward pass runs the beta recursion
-to get the forward-backward marginals. The gradient of the negative
-log-likelihood is the expected feature counts under those marginals minus
-the gold path's counts (Lafferty, McCallum & Pereira, ICML 2001; Sutton &
-McCallum, arXiv:1011.4088, section 4.1). Every entry point takes a batch;
-one sentence is a batch of one.
+autodiff node per batch, a scaled forward-backward in probability space
+(Rabiner, Proc. IEEE 77(2), 1989; Sutton & McCallum, arXiv:1011.4088, 4.1):
+each alpha step is one [k, T] @ [T, T] product with exp(transitions - max),
+times exp(emissions - row max), over its row sums c, and log Z adds up the
+log c and the removed maxima. The beta steps reuse c, the unary marginals are
+alpha * beta, and the gradient is the expected feature counts under the
+marginals minus the gold path's (Lafferty, McCallum & Pereira, ICML 2001).
+While each of transitions, start and end spreads (max - min) at most
+``SPREAD_BOUND`` = 300, every c stays >= e^-300 and every scaled beta
+<= e^300 whatever the emissions, so no product leaves float64's range (e^709);
+past it the loss and its gradients are NaN, which training reports as
+divergence. Every entry point takes a batch; one sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import numpy as np
 
 from . import bio
 from .autodiff import Array, Tensor, _accum
-from .layers import _walk
+from .layers import _rows_dot, _walk
 
 NEG_INF = -1e4  # soft minus-infinity for constrained decoding
+SPREAD_BOUND = 300.0  # largest max - min of transitions, start or end that nll represents
 
 
 @dataclass
@@ -60,37 +66,38 @@ def _check_emissions(emissions: Tensor, crf: CrfModel) -> tuple[int, int]:
     return n, t
 
 
-def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """log(sum(exp(x))) along ``axis``, shifted by the max for stability."""
-    m = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
-    return out.reshape(()) if axis is None else out.squeeze(axis)
-
-
 def _crf_op(emissions: Tensor, crf: CrfModel, lens: Sequence[int],
             gold: np.ndarray | None) -> Tensor:
     """Σ log Z of a packed batch of sentences of ``lens`` tokens, longest
-    first, minus the score of the gold paths in ``gold`` if any, as one node.
-
-    The alpha (forward) and beta (backward) recursions run over
-    ``layers._plan``'s time-major rows. The gradient of Σ log Z is the unary
-    marginals for emissions, the summed pairwise marginals for transitions,
-    and the sentences' summed first and last unary rows for start and end;
-    gold paths subtract their one-hot indicators and bigram counts.
-    """
-    trans, start, end = crf.transitions.data, crf.start.data, crf.end.data
+    first, minus the score of the gold paths in ``gold`` if any, as one node
+    over ``layers._plan``'s time-major rows. The gradient of Σ log Z is the
+    unary marginals for emissions, the summed pairwise marginals for
+    transitions, and the sentences' summed first and last unary rows for start
+    and end; gold paths subtract their one-hot indicators and bigram counts."""
+    trans, start, end = scores = crf.transitions.data, crf.start.data, crf.end.data
     ks, offs, src, out, prev = _walk(lens, emissions.data.shape[0])
     batch = ks[0]
     e = emissions.data[src]  # time-major: step 0 is rows [0, B), each sentence's first
     before = prev[batch:] - batch  # for the rows of steps >= 1, their previous row
     last = out[np.cumsum(lens) - 1]  # each sentence's last row
-    alphas = np.empty_like(e)
-    alphas[:batch] = e[:batch] + start
-    for k, lo, lo_prev in zip(ks[1:], offs[1:], offs):
-        alphas[lo : lo + k] = (_logsumexp(alphas[lo_prev : lo_prev + k, :, None] + trans, axis=1)
-                               + e[lo : lo + k])
-    log_z = _logsumexp(alphas[last] + end, axis=1)
-    value = log_z.sum()
+    tops = [s.max() for s in scores]
+    exp_trans, exp_start, exp_end = (np.exp(s - top) for s, top in zip(scores, tops))
+    row_tops = e.max(axis=1)
+    p = np.exp(e - row_tops[:, None])  # each row's largest entry is 1
+    if any(top - s.min() > SPREAD_BOUND for s, top in zip(scores, tops)):
+        p.fill(np.nan)  # past the bound the products can overflow: NaN, not a wrong log Z
+    alphas, c, ones = np.empty_like(e), np.empty(len(e)), np.ones(e.shape[1])
+    np.multiply(p[:batch], exp_start, out=alphas[:batch])
+    for k, lo, lo_prev in zip(ks, offs, (None,) + offs):  # each alphas row sums to 1
+        a = alphas[lo : lo + k]
+        if lo_prev is not None:
+            np.dot(alphas[lo_prev : lo_prev + k], exp_trans, out=a)
+            a *= p[lo : lo + k]
+        np.dot(a, ones, out=c[lo : lo + k])  # the row sums, as one call
+        a /= c[lo : lo + k, None]
+    ends = alphas[last] @ exp_end
+    value = (np.log(c).sum() + row_tops.sum() + np.log(ends).sum()
+             + batch * (tops[1] + tops[2]) + (len(e) - batch) * tops[0])
     if gold is not None:
         gold = gold[src]
         value -= (start[gold[:batch]].sum() + e[np.arange(len(e)), gold].sum()
@@ -98,18 +105,18 @@ def _crf_op(emissions: Tensor, crf: CrfModel, lens: Sequence[int],
     out_t = Tensor(value, (emissions, crf.transitions, crf.start, crf.end))
 
     def bw(g: Array) -> None:
-        betas = np.empty_like(e)
-        betas[last] = end
+        # betas scaled so that alphas * betas are the unary marginals; pb = p * betas
+        betas, pb, exp_trans_t = np.empty_like(e), np.empty_like(e), exp_trans.T.copy()
+        betas[last] = exp_end / ends[:, None]
         for k, lo, lo_next in zip(ks[1:][::-1], offs[-2::-1], offs[:0:-1]):
             # the first k rows of step s go on to step s + 1; the others end at s
-            betas[lo : lo + k] = _logsumexp(
-                trans + (e[lo_next : lo_next + k] + betas[lo_next : lo_next + k])[:, None, :],
-                axis=2)
-        z = np.repeat(log_z, lens)[src][:, None]  # each row's own sentence's log Z
-        unary = np.exp(alphas + betas - z)
-        pairwise = alphas[before, :, None] + trans  # [row, prev, cur], one array
-        pairwise += (e[batch:] + betas[batch:] - z[batch:])[:, None, :]
-        pairwise = np.exp(pairwise, out=pairwise).sum(axis=0)
+            nxt = slice(lo_next, lo_next + k)
+            np.multiply(p[nxt], betas[nxt], out=pb[nxt])
+            np.dot(pb[nxt], exp_trans_t, out=betas[lo : lo + k])
+            betas[lo : lo + k] /= c[nxt, None]
+        unary = alphas * betas
+        # the alpha side takes the division by c, so each factor stays at or below e^300
+        pairwise = _rows_dot(alphas[before] / c[batch:, None], pb[batch:]) * exp_trans
         if gold is not None:
             unary[np.arange(len(e)), gold] -= 1.0
             np.add.at(pairwise, (gold[before], gold[batch:]), -1.0)

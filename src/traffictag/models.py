@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import numpy.lib.format as npy
 
 from . import bio, crf as crf_mod, subword
 from .autodiff import Tensor, add, concat, take_rows
@@ -444,11 +445,14 @@ def checkpoint_metadata(model: Model, extra: dict | None = None) -> dict:
 def save_checkpoint(model: Model, path: str | Path, extra: dict | None = None) -> None:
     """Write one uncompressed .npz archive at exactly ``path``: the metadata as
     a JSON string in a 0-d unicode member, then one member per parameter in
-    store order."""
+    store order; ``np.savez``'s bytes, but written from each array's buffer."""
     members = {METADATA_MEMBER: np.array(json.dumps(checkpoint_metadata(model, extra)))}
     members.update((name, t.data) for name, t in model.store.params.items())
-    with open(path, "wb") as f:  # np.savez appends .npz to a str path
-        np.savez(f, **members)
+    with open(path, "wb") as f, zipfile.ZipFile(f, "w", allowZip64=True) as archive:
+        for name, array in members.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(array))
+                member.write(memoryview(array).cast("B"))
 
 
 def load_checkpoint(path: str | Path) -> Model:

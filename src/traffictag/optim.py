@@ -12,7 +12,7 @@ from .autodiff import Tensor
 class ParamStore:
     """Named trainable tensors plus Adam moment state, laid out from (name,
     shape, init kind) triples with every value zero: ``initialize`` draws the
-    initial values, and ``restore`` copies saved ones in."""
+    initial values, and ``restore`` adopts saved ones, as C-ordered arrays."""
 
     def __init__(self, layout: list[tuple[str, tuple[int, ...], str]]):
         self.layout = layout
@@ -56,7 +56,7 @@ class ParamStore:
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         for name, data in snap.items():
-            self.params[name].data[...] = data
+            self.params[name].data = np.ascontiguousarray(data)
 
 
 def global_norm(store: ParamStore) -> float:

@@ -10,7 +10,6 @@ criterion) becomes the final model.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -100,6 +99,10 @@ class ExperimentConfig:
         if self.generate_size is not None:
             self.generator_config()  # raises on a mistyped or out-of-range setting
         object.__setattr__(self, "epoch_candidates", tuple(sorted(self.epoch_candidates)))
+        flat = self.to_flat_dict()  # frozen: the experiment's hash is taken once, here
+        flat.pop("out_dir")
+        canonical = json.dumps(flat, sort_keys=True).encode("utf-8")
+        object.__setattr__(self, "_hash", hashlib.sha256(canonical).hexdigest())
 
     def to_flat_dict(self) -> dict:
         out = {}
@@ -122,13 +125,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         return cls(model=ModelConfig.from_dict(model_kwargs), **data)
 
-    @functools.lru_cache(maxsize=64)  # frozen, so each distinct config is hashed once
     def config_hash(self) -> str:
         """Identifies the experiment; the output directory is not part of it."""
-        flat = self.to_flat_dict()
-        flat.pop("out_dir")
-        canonical = json.dumps(flat, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._hash
 
     def generator_config(self) -> GeneratorConfig:
         if self.generate_size is None:

@@ -362,12 +362,17 @@ class TestLayerContracts:
             embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
 
 
-# one lstm_seq and one affine head over 520 rows at the default widths; prints
-# a digest of the weight gradients, which sum over all the rows
+# one lstm_seq and one affine head over 520 rows at the default widths, and
+# one crf.nll over 1,200 rows; prints a digest of the weight gradients, which
+# sum over all the rows, and of the CRF's emission gradients. The CRF has 64
+# tags: on OpenBLAS 0.3.31 a plain [N, 9]ᵀ [N, 9] product gives the same bits
+# on one and two threads even at 60,000 rows, but the CRF's [1165, 64]ᵀ
+# [1165, 64] pairwise sum does not unless it goes through _rows_dot
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from traffictag.autodiff import Tensor, backward
+from traffictag.crf import CrfModel, nll
 from traffictag.layers import affine, lstm_seq, softmax_xent
 rng = np.random.default_rng(0)
 x = Tensor(rng.standard_normal((520, 160)))
@@ -375,7 +380,12 @@ w, b = Tensor(rng.uniform(-0.1, 0.1, (288, 512))), Tensor(np.zeros(512))
 head_w, head_b = Tensor(rng.uniform(-0.1, 0.1, (128, 9))), Tensor(np.zeros(9))
 logits = affine(lstm_seq(x, [30] * 10 + [20] * 10 + [10] * 2, w, b), head_w, head_b)
 backward(softmax_xent(logits, rng.integers(0, 9, 520)))
-print(hashlib.sha256(w.grad.tobytes() + head_w.grad.tobytes()).hexdigest())
+emissions = Tensor(rng.standard_normal((1200, 64)))
+crf = CrfModel(*(Tensor(rng.uniform(-1.0, 1.0, shape)) for shape in ((64, 64), (64,), (64,))))
+lens = [40] * 25 + [20] * 10
+backward(nll(emissions, crf, [rng.integers(0, 64, n).tolist() for n in lens]))
+print(hashlib.sha256(w.grad.tobytes() + head_w.grad.tobytes() + crf.transitions.grad.tobytes()
+                     + emissions.grad.tobytes()).hexdigest())
 """
 
 
@@ -389,7 +399,8 @@ class TestRowsDot:
 
     def test_weight_gradients_ignore_blas_thread_count(self):
         """Same inputs, one and two BLAS threads, in fresh processes: the
-        weight gradients are bit-identical."""
+        weight gradients, the CRF's transition and emission gradients among
+        them, are bit-identical."""
         digests = set()
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

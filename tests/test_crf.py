@@ -12,14 +12,19 @@ import pytest
 from helpers import brute_force_oracle, crf_reference, grad_check, log_partition
 from traffictag import bio
 from traffictag.autodiff import Tensor, backward, take_rows
+from traffictag.corpus import GeneratorConfig, generate_synthetic, split_corpus
 from traffictag.crf import (
     BIO_START_MASK,
     BIO_TRANSITION_MASK,
     NEG_INF,
+    SPREAD_BOUND,
     CrfModel,
     nll,
     viterbi,
 )
+from traffictag.models import ModelConfig
+from traffictag.optim import ParamStore
+from traffictag.training import ExperimentConfig, TrainingDiverged, train_model
 
 
 def zero_model(num_tags: int) -> CrfModel:
@@ -46,6 +51,55 @@ def random_batch(rng: np.random.Generator, t: int, max_len: int):
     lens = sorted(rng.integers(1, max_len + 1, int(rng.integers(1, 9))).tolist(), reverse=True)
     emissions, model = random_instance(rng, sum(lens), t)
     return emissions, model, [rng.integers(0, t, n).tolist() for n in lens]
+
+
+def reference_sum(emissions, model, paths):
+    """The NLL of a packed batch and its gradients (emissions, transitions,
+    start, end) through ``crf_reference``, one sentence at a time."""
+    params = [emissions, model.transitions, model.start, model.end]
+    for p in params:
+        p.grad = None
+    rows = np.cumsum([0] + [len(path) for path in paths])
+    total = 0.0
+    for i, path in enumerate(paths):
+        one = crf_reference(take_rows(emissions, range(rows[i], rows[i + 1])), model, path)
+        total += float(one.data)
+        backward(one)
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return total, grads
+
+
+def batched(emissions, model, paths):
+    """``nll`` of a packed batch and its gradients, in ``reference_sum``'s order."""
+    params = [emissions, model.transitions, model.start, model.end]
+    for p in params:
+        p.grad = None
+    loss = nll(emissions, model, paths)
+    backward(loss)
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return float(loss.data), grads
+
+
+def training_batch(rng: np.random.Generator, scale: float):
+    """A packed batch shaped like a training batch: 1-32 sentences of 1-20
+    tokens over the 9 BIO tags, longest first, every score uniform in
+    [-scale, scale), and one random gold path each."""
+    t = bio.NUM_TAGS
+    lens = sorted(rng.integers(1, 21, int(rng.integers(1, 33))).tolist(), reverse=True)
+    emissions = Tensor(rng.uniform(-scale, scale, (sum(lens), t)))
+    model = CrfModel(*(Tensor(rng.uniform(-scale, scale, shape)) for shape in ((t, t), (t,), (t,))))
+    return emissions, model, [rng.integers(0, t, n).tolist() for n in lens]
+
+
+def with_spread(model: CrfModel, spread: float) -> CrfModel:
+    """The model with transitions, start and end each stretched to max - min == spread."""
+    def stretch(x):
+        return Tensor((x - x.min()) / (x.max() - x.min()) * spread - spread / 2)
+    return CrfModel(*(stretch(p.data) for p in (model.transitions, model.start, model.end)))
 
 
 def enumerated_nll_gradients(emissions, model, gold):
@@ -176,21 +230,11 @@ class TestBatchedNll:
         rng = np.random.default_rng(61)
         for _ in range(200):
             emissions, model, paths = random_batch(rng, int(rng.integers(2, 10)), 12)
-            params = [emissions, model.transitions, model.start, model.end]
-            loss = nll(emissions, model, paths)
-            backward(loss)
-            batched = [p.grad for p in params]
-            for p in params:
-                p.grad = None
-            rows = np.cumsum([0] + [len(path) for path in paths])
-            total = 0.0
-            for i, path in enumerate(paths):
-                one = crf_reference(take_rows(emissions, range(rows[i], rows[i + 1])), model, path)
-                total += float(one.data)
-                backward(one)
-            assert abs(float(loss.data) - total) <= 1e-12 * max(1.0, abs(total))
-            for got, p in zip(batched, params):
-                assert np.abs(got - p.grad).max() <= 1e-12
+            value, grads = batched(emissions, model, paths)
+            total, want = reference_sum(emissions, model, paths)
+            assert abs(value - total) <= 1e-12 * max(1.0, abs(total))
+            for got, ref in zip(grads, want):
+                assert np.abs(got - ref).max() <= 1e-12
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(62)
@@ -220,6 +264,60 @@ class TestBatchedNll:
         for paths in ([[0], [0, 1]], [[0, 1]], [[0, 1, 1], []], []):
             with pytest.raises(ValueError, match="do not split"):
                 nll(Tensor(np.zeros((3, 2))), zero_model(2), paths)
+
+
+class TestScaledRecursion:
+    """The scaled-probability forward-backward inside ``nll`` against the
+    log-space reference, on training-shaped batches and at the spread bound."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_training_batches_match_log_space(self, scale):
+        rng = np.random.default_rng(int(scale * 10) + 70)
+        for _ in range(12):
+            emissions, model, paths = training_batch(rng, scale)
+            value, grads = batched(emissions, model, paths)
+            total, want = reference_sum(emissions, model, paths)
+            assert abs(value - total) <= 1e-12 * max(1.0, abs(total))
+            for got, ref in zip(grads, want):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_spread_just_below_the_bound_matches_log_space(self):
+        rng = np.random.default_rng(73)
+        for _ in range(6):
+            emissions, model, paths = training_batch(rng, 1.0)
+            model = with_spread(model, SPREAD_BOUND - 1.0)
+            value, grads = batched(emissions, model, paths)
+            total, want = reference_sum(emissions, model, paths)
+            assert abs(value - total) <= 1e-10 * max(1.0, abs(total))
+            for got, ref in zip(grads, want):
+                assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("which", range(3))  # transitions, start, end
+    def test_spread_past_the_bound_is_not_finite(self, which):
+        rng = np.random.default_rng(74)
+        emissions, model, paths = training_batch(rng, 1.0)
+        params = [model.transitions, model.start, model.end]
+        params[which].data.flat[0] = params[which].data.min() + SPREAD_BOUND + 1.0
+        loss = nll(emissions, model, paths)
+        assert not np.isfinite(loss.data)
+        backward(loss)
+        assert not any(np.isfinite(p.grad).any() for p in [emissions] + params)
+
+    def test_training_past_the_bound_diverges(self, monkeypatch):
+        """``train_model`` reports a CRF whose transitions spread past the
+        bound as divergence (exit code 3 from the CLI) at its first batch."""
+        initialize = ParamStore.initialize
+
+        def widened(self, rng):
+            initialize(self, rng)
+            self["crf.trans"].data[0, 0] = SPREAD_BOUND + 1.0
+
+        monkeypatch.setattr(ParamStore, "initialize", widened)
+        train, dev, _ = split_corpus(generate_synthetic(GeneratorConfig(size=60), seed=3), seed=3)
+        config = ExperimentConfig("lstm_crf", seed=1, epoch_candidates=(1,),
+                                  model=ModelConfig(embed_dim=8, tagger_hidden=8))
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 1 "):
+            train_model(config, train, dev)
 
 
 class TestViterbi:

@@ -28,11 +28,13 @@ from traffictag.crf import viterbi
 from traffictag.layers import softmax_probs
 from traffictag.models import (
     ARCHITECTURES,
+    METADATA_MEMBER,
     PREDICT_CHUNK,
     Model,
     ModelConfig,
     WordVocab,
     build_model,
+    checkpoint_metadata,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -458,6 +460,41 @@ class TestCheckpoints:
                 a, b = predict(model, tweet), predict(again, tweet)
                 assert a.class_label == b.class_label
                 assert a.spans == b.spans
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_archive_bytes_are_np_savez_bytes(self, arch, word_vocab, sub_vocab, tmp_path):
+        """``save_checkpoint`` writes each array from its own buffer, and the
+        archive is byte for byte what ``np.savez`` makes of the same members."""
+        model = build_model(arch, SMALL, seed=13, word_vocab=word_vocab, subword_vocab=sub_vocab)
+        extra = {"config_hash": "ab" * 32}
+        save_checkpoint(model, tmp_path / "ckpt.npz", extra=extra)
+        members = {METADATA_MEMBER: np.array(json.dumps(checkpoint_metadata(model, extra)))}
+        members.update((name, t.data) for name, t in model.store.params.items())
+        with open(tmp_path / "savez.npz", "wb") as f:
+            np.savez(f, **members)
+        assert (tmp_path / "ckpt.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+    def test_load_adopts_the_arrays_it_reads(self, word_vocab, tmp_path):
+        """Loaded parameters are writable C-ordered arrays of their own, also
+        from an archive that stores its members in Fortran order, and they
+        save to the bytes they were loaded from."""
+        model = build_model("lstm_crf", SMALL, seed=13, word_vocab=word_vocab)
+        save_checkpoint(model, tmp_path / "ckpt.npz")
+        payload = read_archive(tmp_path / "ckpt.npz")
+        members = {METADATA_MEMBER: np.array(json.dumps(
+            {k: v for k, v in payload.items() if k != "params"}))}
+        members.update((name, np.asfortranarray(t.data)) for name, t in model.store.params.items())
+        with open(tmp_path / "fortran.npz", "wb") as f:
+            np.savez(f, **members)
+        first, again = load_checkpoint(tmp_path / "fortran.npz"), load_checkpoint(tmp_path / "ckpt.npz")
+        for name, t in model.store.params.items():
+            for loaded in (first, again):
+                data = loaded.store[name].data
+                assert data.flags.c_contiguous and data.flags.writeable
+                assert data.tobytes() == t.data.tobytes()
+            assert not np.shares_memory(first.store[name].data, again.store[name].data)
+        save_checkpoint(first, tmp_path / "resaved.npz")
+        assert (tmp_path / "resaved.npz").read_bytes() == (tmp_path / "ckpt.npz").read_bytes()
 
     @staticmethod
     def _damaged_copies(model, tmp_path, damage):
