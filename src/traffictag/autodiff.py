@@ -41,9 +41,13 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: Array) -> None:
+    """Add ``g``, which has ``t``'s shape, to ``t.grad``. The first gradient is
+    ``g + 0.0``: the bits of ``0.0 + g`` (−0.0 and NaN included), in one pass,
+    in an array that never aliases ``g``."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------

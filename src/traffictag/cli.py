@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from .corpus import (
@@ -127,12 +128,19 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_flat_dict(data)
 
 
+def _probe_write(directory: Path) -> None:
+    """Create and remove a file in ``directory``; raises OSError where that fails."""
+    with tempfile.TemporaryFile(dir=directory):
+        pass
+
+
 def cmd_train(args) -> int:
     config = _load_experiment_config(args)
     if config.corpus is None and config.generate_size is None:
         raise _UsageError("config needs either a corpus path or generator settings")
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)  # first: a bad out_dir costs no training run
+    _probe_write(out)
     if config.corpus is not None:
         corpus = load_corpus(config.corpus, config.corpus_format)
     else:

@@ -14,6 +14,8 @@ lengths, longest first. The recurrences, ``lstm_seq`` here and the CRF's in
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Sequence
 
 import numpy as np
@@ -262,6 +264,21 @@ def lstm_seq(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor,
     return y
 
 
+# a batch whose first recurrent step, B·h·4h multiply-adds, reaches this runs
+# its reverse direction on a second core; below it the hand-off costs more
+# than the overlap saves (the crossover table in BENCH_bilstm_threads.json)
+CONCURRENT_MIN_MACS = 2**19
+_reverse_worker: ThreadPoolExecutor | None = None  # made on first use
+
+
+def _forget_worker() -> None:  # a forked child has no copy of the worker thread
+    global _reverse_worker
+    _reverse_worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def bilstm(
     x: Tensor, lengths: Sequence[int], wf: Tensor, bf: Tensor, wb: Tensor, bb: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -270,9 +287,28 @@ def bilstm(
     Returns (per-token states [N, 2*hidden], each sentence's final forward
     state [B, hidden], and its final backward state [B, hidden]). The
     per-token state concatenates the two directions'.
+
+    The directions share nothing until they are joined, so above
+    ``CONCURRENT_MIN_MACS``, on a process that may use two CPUs, one worker
+    thread runs the reverse ``lstm_seq`` while this thread runs the forward
+    one. numpy releases the interpreter lock inside the GEMMs, and each
+    direction does the same arithmetic either way, so the results are the
+    same bits. The worker is always joined before this returns or raises.
     """
+    global _reverse_worker
     ends = np.cumsum(lengths)
-    forward = lstm_seq(x, lengths, wf, bf, reverse=False)
-    backward_states = lstm_seq(x, lengths, wb, bb, reverse=True)
+    four_h = bb.data.shape[0]
+    if len(lengths) * four_h**2 // 4 < CONCURRENT_MIN_MACS or len(os.sched_getaffinity(0)) < 2:
+        forward = lstm_seq(x, lengths, wf, bf, reverse=False)
+        backward_states = lstm_seq(x, lengths, wb, bb, reverse=True)
+    else:
+        if _reverse_worker is None:
+            _reverse_worker = ThreadPoolExecutor(1, thread_name_prefix="bilstm-reverse")
+        pending = _reverse_worker.submit(lstm_seq, x, lengths, wb, bb, reverse=True)
+        try:
+            forward = lstm_seq(x, lengths, wf, bf, reverse=False)
+        finally:
+            wait((pending,))
+        backward_states = pending.result()
     states = concat((forward, backward_states))
     return states, take_rows(forward, ends - 1), take_rows(backward_states, ends - lengths)

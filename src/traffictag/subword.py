@@ -9,6 +9,12 @@ alignment that :func:`encode` returns with a tweet's piece ids records where
 those first pieces live. ``encode`` (one tweet) and ``tokenize`` (one token)
 are the whole tokenizing interface; the benchmark in ``bench/`` times the
 one and counts calls of the other.
+
+A token that would split into more than ``MAX_PIECES_PER_TOKEN`` pieces is
+one ``[UNK]``, found as soon as its scan passes the cap: without it one line
+holding a 1,000,000-character token makes 700,000 pieces for the LSTM to
+step through. A piece holds at least one character, so no token of at most
+that many characters is affected.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ SEP = "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
 
 _MAX_PIECE_LEN = 12
+MAX_PIECES_PER_TOKEN = 64
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,15 @@ def build_vocab(corpus: Corpus, max_size: int) -> SubwordVocab:
 
 
 def tokenize(token: str, vocab: SubwordVocab) -> list[str]:
-    """Greedy longest-match decomposition; [UNK] when no decomposition exists."""
+    """Greedy longest-match decomposition; [UNK] when no decomposition exists
+    or it has more than ``MAX_PIECES_PER_TOKEN`` pieces."""
     if not token:
         raise CorpusError("cannot subword-tokenize an empty token")
     pieces: list[str] = []
     pos = 0
     while pos < len(token):
+        if len(pieces) == MAX_PIECES_PER_TOKEN:
+            return [UNK]
         inventory = vocab._initial if pos == 0 else vocab._continuation
         end = min(len(token), pos + vocab._longest)
         while end > pos and token[pos:end] not in inventory:

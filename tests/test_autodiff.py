@@ -15,6 +15,7 @@ import traffictag
 from helpers import adam_step_reference, cotangent, grad_check, lstm_seq_reference, project
 from traffictag.autodiff import (
     Tensor,
+    _accum,
     add,
     backward,
     concat,
@@ -102,6 +103,18 @@ class TestBackward:
         x = Tensor(np.array(3.0))
         backward(add(x, x))  # both parents are the same tensor
         assert x.grad == pytest.approx(2.0)
+
+    def test_first_gradient_is_a_fresh_plus_zero_copy(self):
+        # loss = <(a + b) + a, R> hands one array to a and to a + b; a's second
+        # gradient must not reach b through it
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+        backward(project(add(add(a, b), a)))
+        r = cotangent((2, 3))
+        assert np.array_equal(b.grad, r) and np.array_equal(a.grad, r + r)
+        # the bits of +0.0 + g: -0.0 becomes +0.0, and NaN stays NaN
+        t = Tensor(np.zeros(3))
+        _accum(t, np.array([-0.0, np.nan, 1.5]))
+        assert not np.signbit(t.grad[0]) and np.isnan(t.grad[1]) and t.grad[2] == 1.5
 
 
 def _gc(build, *tensors, eps=1e-5):

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from helpers import tokenize_reference
-from traffictag.corpus import Corpus, CorpusError, GeneratorConfig, Tweet, generate_synthetic
+from traffictag.corpus import (
+    Corpus,
+    CorpusError,
+    GeneratorConfig,
+    Tweet,
+    generate_synthetic,
+    normalize_tweet,
+)
+from traffictag import subword
 from traffictag.subword import (
     CLS,
+    MAX_PIECES_PER_TOKEN,
     SEP,
     SPECIALS,
     UNK,
@@ -18,6 +30,8 @@ from traffictag.subword import (
     encode,
     tokenize,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_corpus(*token_lists):
@@ -97,7 +111,9 @@ class TestTokenize:
         )
         assert tokenize(long_piece * 2, vocab) == [long_piece, f"##{long_piece}"]
 
-    def test_lookups_bounded_by_longest_piece(self):
+    def test_lookups_bounded_by_longest_piece(self, monkeypatch):
+        # the scan bound, over a token far past the piece cap, with the cap lifted
+        monkeypatch.setattr(subword, "MAX_PIECES_PER_TOKEN", 10_000)
         corpus = generate_synthetic(GeneratorConfig(size=100), seed=4)
         vocab = build_vocab(corpus, 400)
         longest = max(len(p.removeprefix("##")) for p in vocab.pieces[len(SPECIALS):])
@@ -115,6 +131,36 @@ class TestTokenize:
         token = "".join(random.Random(4).choices(chars, k=10_000))
         assert UNK not in tokenize(token, vocab)
         assert 0 < lookups <= len(token) * longest
+
+
+class TestPieceCap:
+    def test_cap_is_inclusive(self):
+        vocab = vocab_from_pieces(*"ab", *(f"##{c}" for c in "ab"))
+        at_cap = "ab" * (MAX_PIECES_PER_TOKEN // 2)
+        assert tokenize(at_cap, vocab) == [at_cap[0], *(f"##{c}" for c in at_cap[1:])]
+        assert tokenize(at_cap + "a", vocab) == [UNK]
+
+    def test_million_character_token_is_one_unk(self):
+        corpus = generate_synthetic(GeneratorConfig(size=60), seed=2)
+        vocab = build_vocab(corpus, 300)
+        start = time.perf_counter()
+        assert tokenize("abcdefghij" * 100_000, vocab) == [UNK]
+        assert time.perf_counter() - start < 0.5
+
+    def test_no_generated_or_checked_in_token_reaches_the_cap(self):
+        # a piece holds at least one character, so a token of at most
+        # MAX_PIECES_PER_TOKEN characters never reaches the cap. The
+        # benchmark's corpora are BRU of 2,000 tweets at seed s and BE of 100
+        # at seed s + 1, for seeds 1-3; tests/data holds v1_tweets.jsonl's texts
+        corpora = [
+            generate_synthetic(GeneratorConfig(size=size, region=region,
+                                               shared_vocab_fraction=0.7), seed + shift)
+            for seed in (1, 2, 3) for size, region, shift in ((2000, "BRU", 0), (100, "BE", 1))
+        ]
+        tokens = {tok for c in corpora for tweet in c for tok in tweet.tokens}
+        lines = (DATA / "v1_tweets.jsonl").read_text(encoding="utf-8").splitlines()
+        tokens |= {tok for line in lines for tok in normalize_tweet(json.loads(line)["text"])}
+        assert max(map(len, tokens)) <= MAX_PIECES_PER_TOKEN
 
 
 class TestAlign:

@@ -21,7 +21,7 @@ from helpers import (
     validate_report_dict,
     write_archive,
 )
-from traffictag import models, training
+from traffictag import cli, models, training
 from traffictag.autodiff import Tensor, _accum
 from traffictag.cli import main
 from traffictag.corpus import (
@@ -580,6 +580,27 @@ class TestCli:
         config_path = self._write_config(tmp_path, out_dir=str(blocker))
         assert main(["train", "--config", str(config_path)]) == 2
         assert blocker.read_text() == "not a directory"
+
+    def test_train_write_check_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        """An out_dir where no file can be made is exit 2 before the corpus
+        is loaded. Root ignores mode bits, so the probe is patched."""
+        def refuse(directory):
+            raise PermissionError(13, "Permission denied", str(directory / "probe"))
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("called after a failed write check")
+
+        monkeypatch.setattr(cli, "_probe_write", refuse)
+        for owner, name in ((cli, "load_corpus"), (cli, "generate_synthetic"),
+                            (training, "train_model")):
+            monkeypatch.setattr(owner, name, not_reached)
+        config_path = self._write_config(tmp_path, out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "data error: [Errno 13] Permission denied" in capsys.readouterr().err
+
+    def test_train_write_check_leaves_no_file(self, tmp_path):
+        cli._probe_write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_missing_seed_is_usage_error(self, tmp_path):
         config = {"architecture": "cnn", "generate_size": 30}
